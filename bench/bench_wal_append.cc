@@ -136,8 +136,8 @@ void RecoveryPass(Env* env, const std::string& dir, uint64_t total,
     if (prefix > 0) {
       // Roll -> seal -> GC, the same order as TrackedDatabase::CheckpointWal.
       uint64_t horizon = wal.RollSegment().value();
-      OrAbort(CheckpointWriter::Write(env, dir, store, horizon,
-                                      pki.participant->signer(),
+      OrAbort(CheckpointWriter::Write(env, dir, store.CurrentView(),
+                                      horizon, pki.participant->signer(),
                                       pki.participant->id()));
       OrAbort(provenance::RemoveStaleCheckpoints(env, dir, horizon));
       OrAbort(wal.GarbageCollect(horizon));

@@ -21,9 +21,10 @@ const ChainIndex::Leaf* ChainIndex::Find(const Node* root,
   return nullptr;
 }
 
-void ChainIndex::RetireOrDelete(EpochRetired* node, EpochDomain* domain) {
-  if (domain != nullptr) {
-    domain->Retire(node);
+void ChainIndex::RetireOrDelete(EpochRetired* node,
+                                EpochDomain::RetireBuffer* retired) {
+  if (retired != nullptr) {
+    retired->Add(node);
   } else {
     delete node;
   }
@@ -47,7 +48,7 @@ ChainIndex::Node* ChainIndex::BuildSplit(const Leaf* existing, Leaf* fresh,
 
 const ChainIndex::Node* ChainIndex::InsertRec(const Node* node, Leaf* leaf,
                                               unsigned shift,
-                                              EpochDomain* domain) {
+                                              EpochDomain::RetireBuffer* retired) {
   Node* copy = new Node;
   if (node != nullptr) {
     for (size_t i = 0; i < 16; ++i) {
@@ -65,23 +66,23 @@ const ChainIndex::Node* ChainIndex::InsertRec(const Node* node, Leaf* leaf,
       // The old leaf is unlinked from the new version; readers pinned on
       // an older root still reach it. Its chain cells stay alive — the
       // new leaf links to them or the caller retires them (see header).
-      RetireOrDelete(const_cast<Leaf*>(existing), domain);
+      RetireOrDelete(const_cast<Leaf*>(existing), retired);
     } else {
       copy->child[idx] = Tag(BuildSplit(existing, leaf, shift + 4));
     }
   } else {
     copy->child[idx] =
-        Tag(InsertRec(AsNode(entry), leaf, shift + 4, domain));
-    RetireOrDelete(const_cast<Node*>(AsNode(entry)), domain);
+        Tag(InsertRec(AsNode(entry), leaf, shift + 4, retired));
+    RetireOrDelete(const_cast<Node*>(AsNode(entry)), retired);
   }
   return copy;
 }
 
-const ChainIndex::Node* ChainIndex::Insert(const Node* root, Leaf* leaf,
-                                           EpochDomain* domain) {
-  const Node* new_root = InsertRec(root, leaf, 0, domain);
+const ChainIndex::Node* ChainIndex::Insert(
+    const Node* root, Leaf* leaf, EpochDomain::RetireBuffer* retired) {
+  const Node* new_root = InsertRec(root, leaf, 0, retired);
   if (root != nullptr) {
-    RetireOrDelete(const_cast<Node*>(root), domain);
+    RetireOrDelete(const_cast<Node*>(root), retired);
   }
   return new_root;
 }

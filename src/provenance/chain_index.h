@@ -53,12 +53,14 @@ class ChainIndex {
 
   /// Path-copying insert-or-replace: returns the new root (never null).
   /// Takes ownership of `leaf`. Replaced nodes (and a replaced same-key
-  /// leaf) are retired through `domain`, or deleted immediately when
-  /// `domain` is null (single-threaded store, no readers by contract).
+  /// leaf) go into the writer's `retired` buffer, or are deleted
+  /// immediately when `retired` is null (single-threaded store, no
+  /// readers by contract).
   /// A replaced leaf's chain cells are NOT retired — the new leaf is
   /// expected to link to them (append) or the caller retires them
   /// itself (prune tombstone).
-  static const Node* Insert(const Node* root, Leaf* leaf, EpochDomain* domain);
+  static const Node* Insert(const Node* root, Leaf* leaf,
+                            EpochDomain::RetireBuffer* retired);
 
   /// Visits every leaf under `root` (tombstones included). Order is
   /// radix order of the reversed-nibble key — deterministic but not
@@ -104,9 +106,10 @@ class ChainIndex {
     return static_cast<size_t>((key >> shift) & 0xF);
   }
 
-  static void RetireOrDelete(EpochRetired* node, EpochDomain* domain);
+  static void RetireOrDelete(EpochRetired* node,
+                             EpochDomain::RetireBuffer* retired);
   static const Node* InsertRec(const Node* node, Leaf* leaf, unsigned shift,
-                               EpochDomain* domain);
+                               EpochDomain::RetireBuffer* retired);
   static Node* BuildSplit(const Leaf* existing, Leaf* fresh, unsigned shift);
 };
 

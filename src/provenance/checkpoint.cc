@@ -57,12 +57,15 @@ Bytes BuildCheckpointHeader(uint64_t horizon) {
   return header;
 }
 
-Bytes BuildFrame(ByteView payload) {
-  Bytes frame;
-  AppendVarint64(&frame, payload.size());
-  AppendBytes(&frame, payload);
-  AppendFixed32(&frame, Crc32(payload));
-  return frame;
+/// The write buffer of CheckpointWriter::Write: frames are appended to
+/// the temp file in chunks of about this size, so a seal's memory stays
+/// bounded however large the store grows.
+constexpr size_t kWriteChunkBytes = 64 * 1024;
+
+void AppendFrame(Bytes* out, ByteView payload) {
+  AppendVarint64(out, payload.size());
+  AppendBytes(out, payload);
+  AppendFixed32(out, Crc32(payload));
 }
 
 /// Absorbs one frame payload into the running root digest. The fixed
@@ -110,19 +113,33 @@ Result<CheckpointManifest> DecodeManifest(ByteView payload) {
   return manifest;
 }
 
-/// The live chain tails of `store`, ascending by object id — the map
-/// iteration order *is* the sealed order.
+/// The live chain tails of `view`, ascending by object id — the map
+/// iteration order *is* the sealed order. A chain's head cell is its
+/// newest record, hence its tail.
 std::map<storage::ObjectId, ChainTail> CollectChainTails(
-    const ProvenanceStore& store) {
+    const StoreReadView& view) {
   std::map<storage::ObjectId, ChainTail> tails;
-  for (uint64_t i = 0; i < store.record_count(); ++i) {
-    if (store.is_pruned(i)) continue;
-    const ProvenanceRecord& rec = store.record(i);
-    // Index order is seqID order per chain, so the last live record of
-    // an object seen in this scan is its tail.
-    tails[rec.output.object_id] = ChainTail{rec.seq_id, rec.checksum};
-  }
+  view.ForEachChain([&](storage::ObjectId object, const ChainNode* head) {
+    tails[object] = ChainTail{head->record->seq_id, head->record->checksum};
+  });
   return tails;
+}
+
+/// The live records of `view` in store-index order: every chain cell
+/// placed at its index (a bucket sort on ChainNode::index), then the
+/// pruned gaps dropped.
+std::vector<const ProvenanceRecord*> LiveRecordsInIndexOrder(
+    const StoreReadView& view) {
+  std::vector<const ProvenanceRecord*> by_index(
+      static_cast<size_t>(view.record_count()), nullptr);
+  view.ForEachChain([&](storage::ObjectId, const ChainNode* head) {
+    for (const ChainNode* cell = head; cell != nullptr; cell = cell->prev) {
+      by_index[static_cast<size_t>(cell->index)] = cell->record;
+    }
+  });
+  by_index.erase(std::remove(by_index.begin(), by_index.end(), nullptr),
+                 by_index.end());
+  return by_index;
 }
 
 Bytes EncodeChainTails(const std::map<storage::ObjectId, ChainTail>& tails) {
@@ -145,7 +162,7 @@ std::string CheckpointFileName(const std::string& dir, uint64_t horizon) {
 }
 
 Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
-                               const ProvenanceStore& store,
+                               const StoreReadView& view,
                                uint64_t wal_horizon,
                                const crypto::Signer& signer,
                                uint64_t sealer_id,
@@ -161,30 +178,46 @@ Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
       metrics.histogram("checkpoint.write.latency_us"));
   observability::TraceSpan span("checkpoint.write");
 
-  const std::map<storage::ObjectId, ChainTail> tails =
-      CollectChainTails(store);
+  const std::map<storage::ObjectId, ChainTail> tails = CollectChainTails(view);
+  const std::vector<const ProvenanceRecord*> records =
+      LiveRecordsInIndexOrder(view);
   CheckpointManifest manifest;
   manifest.wal_horizon = wal_horizon;
   manifest.sealer = sealer_id;
   manifest.root_hash = root_hash;
-  manifest.live_records = store.live_record_count();
+  manifest.live_records = records.size();
   manifest.chain_count = tails.size();
 
   std::unique_ptr<crypto::Hasher> hasher = crypto::CreateHasher(root_hash);
   hasher->Reset();
 
-  Bytes content = BuildCheckpointHeader(wal_horizon);
-  auto emit = [&](ByteView payload) {
-    AbsorbFrame(hasher.get(), payload);
-    AppendBytes(&content, BuildFrame(payload));
+  // tmp + fsync + atomic rename + directory fsync (inside RenameFile):
+  // a crash at any point leaves either no checkpoint or the complete
+  // sealed one — never a torn file that recovery must judge. Frames
+  // stream into the temp file in bounded chunks rather than being
+  // materialized whole.
+  const std::string final_path = CheckpointFileName(dir, wal_horizon);
+  const std::string tmp_path = final_path + kTmpSuffix;
+  PROVDB_ASSIGN_OR_RETURN(std::unique_ptr<storage::WritableFile> file,
+                          env->NewWritableFile(tmp_path));
+  Bytes chunk = BuildCheckpointHeader(wal_horizon);
+  uint64_t file_bytes = 0;
+  auto flush_chunk = [&]() -> Status {
+    file_bytes += chunk.size();
+    Status appended = file->Append(chunk);
+    chunk.clear();
+    return appended;
   };
-  emit(EncodeManifest(manifest));
-  for (uint64_t i = 0; i < store.record_count(); ++i) {
-    if (!store.is_pruned(i)) {
-      emit(EncodeRecord(store.record(i)));
-    }
+  auto emit = [&](ByteView payload) -> Status {
+    AbsorbFrame(hasher.get(), payload);
+    AppendFrame(&chunk, payload);
+    return chunk.size() >= kWriteChunkBytes ? flush_chunk() : Status::OK();
+  };
+  PROVDB_RETURN_IF_ERROR(emit(EncodeManifest(manifest)));
+  for (const ProvenanceRecord* record : records) {
+    PROVDB_RETURN_IF_ERROR(emit(EncodeRecord(*record)));
   }
-  emit(EncodeChainTails(tails));
+  PROVDB_RETURN_IF_ERROR(emit(EncodeChainTails(tails)));
 
   // The seal: sign the store-level root. The signature frame itself is
   // outside the root (it cannot cover itself); its integrity comes from
@@ -194,23 +227,15 @@ Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
   PROVDB_ASSIGN_OR_RETURN(Bytes signature, signer.Sign(root.view()));
   Bytes seal;
   AppendLengthPrefixed(&seal, signature);
-  AppendBytes(&content, BuildFrame(seal));
-
-  // tmp + fsync + atomic rename + directory fsync (inside RenameFile):
-  // a crash at any point leaves either no checkpoint or the complete
-  // sealed one — never a torn file that recovery must judge.
-  const std::string final_path = CheckpointFileName(dir, wal_horizon);
-  const std::string tmp_path = final_path + kTmpSuffix;
-  PROVDB_ASSIGN_OR_RETURN(std::unique_ptr<storage::WritableFile> file,
-                          env->NewWritableFile(tmp_path));
-  PROVDB_RETURN_IF_ERROR(file->Append(content));
+  AppendFrame(&chunk, seal);
+  PROVDB_RETURN_IF_ERROR(flush_chunk());
   PROVDB_RETURN_IF_ERROR(file->Sync());
   PROVDB_RETURN_IF_ERROR(file->Close());
   PROVDB_RETURN_IF_ERROR(env->RenameFile(tmp_path, final_path));
 
   metrics.counter("checkpoint.writes")->Increment();
   metrics.counter("checkpoint.write.records")->Add(manifest.live_records);
-  metrics.counter("checkpoint.write.bytes")->Add(content.size());
+  metrics.counter("checkpoint.write.bytes")->Add(file_bytes);
   return Status::OK();
 }
 
@@ -238,17 +263,24 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
 
   // Strict framing: checkpoints are written atomically, so unlike a WAL
   // tail there is no legal way for one to end mid-frame — every
-  // malformation is corruption, never a salvageable tear.
-  std::vector<Bytes> payloads;
-  VarintReader reader(
-      ByteView(content).subview(kCheckpointHeaderSize));
-  while (!reader.done()) {
-    PROVDB_ASSIGN_OR_RETURN(Bytes payload, reader.ReadLengthPrefixed());
-    PROVDB_ASSIGN_OR_RETURN(Bytes crc_raw, reader.ReadRaw(4));
-    if (ReadFixed32(crc_raw, 0) != Crc32(payload)) {
+  // malformation is corruption, never a salvageable tear. Payloads stay
+  // views into `content`: recovery memory is the file plus the rebuilt
+  // store, not a second copy of every frame.
+  std::vector<ByteView> payloads;
+  const ByteView body = ByteView(content).subview(kCheckpointHeaderSize);
+  for (size_t pos = 0; pos < body.size();) {
+    VarintReader reader(body.subview(pos));
+    PROVDB_ASSIGN_OR_RETURN(uint64_t length, reader.ReadVarint64());
+    const size_t start = pos + reader.position();
+    if (length > body.size() - start || body.size() - start - length < 4) {
+      return Status::Corruption("truncated checkpoint frame in " + path);
+    }
+    const ByteView payload = body.subview(start, length);
+    if (ReadFixed32(body, start + length) != Crc32(payload)) {
       return Status::Corruption("checkpoint frame CRC mismatch in " + path);
     }
-    payloads.push_back(std::move(payload));
+    payloads.push_back(payload);
+    pos = start + length + 4;
   }
   if (payloads.size() < 3) {
     // Minimum: manifest, chain tails, seal (an empty store still seals).
@@ -302,7 +334,7 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
     PROVDB_RETURN_IF_ERROR(loaded.store.AddRecord(std::move(rec)).status());
   }
   const std::map<storage::ObjectId, ChainTail> rebuilt =
-      CollectChainTails(loaded.store);
+      CollectChainTails(loaded.store.CurrentView());
   if (rebuilt.size() != manifest.chain_count) {
     return Status::Corruption("checkpoint " + path + " chain count " +
                               std::to_string(rebuilt.size()) +

@@ -60,12 +60,17 @@ std::string CheckpointFileName(const std::string& dir, uint64_t horizon);
 /// Serializes and seals checkpoints.
 class CheckpointWriter {
  public:
-  /// Writes the sealed snapshot of `store` covering WAL segments
+  /// Writes the sealed snapshot of `view` covering WAL segments
   /// 1..`wal_horizon` into `dir`, signing the root digest with `signer`
   /// (recorded as participant `sealer_id`). Durable on return: the file
   /// is fsynced before the atomic rename and the directory after it.
+  ///
+  /// The view must stay protected for the call: either a published
+  /// version under an epoch pin (the ingest pipeline's background seals,
+  /// which run while the shard keeps ingesting) or a quiescent store's
+  /// ProvenanceStore::CurrentView().
   static Status Write(storage::Env* env, const std::string& dir,
-                      const ProvenanceStore& store, uint64_t wal_horizon,
+                      const StoreReadView& view, uint64_t wal_horizon,
                       const crypto::Signer& signer, uint64_t sealer_id,
                       crypto::HashAlgorithm root_hash =
                           crypto::HashAlgorithm::kSha1);

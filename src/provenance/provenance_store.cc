@@ -40,6 +40,7 @@ ProvenanceStore& ProvenanceStore::operator=(ProvenanceStore&& other) noexcept {
   other.wal_ = nullptr;
   domain_ = other.domain_;
   other.domain_ = nullptr;
+  retired_ = std::move(other.retired_);
   published_.store(other.published_.exchange(nullptr,
                                              std::memory_order_relaxed),
                    std::memory_order_relaxed);
@@ -55,10 +56,13 @@ ProvenanceStore& ProvenanceStore::operator=(ProvenanceStore&& other) noexcept {
 void ProvenanceStore::DestroyOwned() {
   // The current trie (and the chain cells its live leaves reach) is
   // owned here; every *superseded* node went through RetireOrDelete and
-  // is the domain's to free. The published version shares subtrees with
-  // the current root, so only the version object itself is deleted.
+  // is either still in retired_ (unlinked since the last publish; no
+  // reader can hold it at quiescence, so it is freed here) or the
+  // domain's to free. The published version shares subtrees with the
+  // current root, so only the version object itself is deleted.
   ChainIndex::FreeAll(chain_root_);
   chain_root_ = nullptr;
+  retired_ = EpochDomain::RetireBuffer();
   delete published_.exchange(nullptr, std::memory_order_relaxed);
   delete spare_;
   spare_ = nullptr;
@@ -66,7 +70,7 @@ void ProvenanceStore::DestroyOwned() {
 
 void ProvenanceStore::RetireOrDelete(EpochRetired* node) {
   if (domain_ != nullptr) {
-    domain_->Retire(node);
+    retired_.Add(node);
   } else {
     delete node;
   }
@@ -108,13 +112,14 @@ void ProvenanceStore::PublishSnapshot() {
   StoreVersion* old =
       published_.exchange(version, std::memory_order_acq_rel);
   if (old != nullptr) {
-    domain_->Retire(old);
+    retired_.Add(old);
   }
   spare_ = nullptr;
   dirty_ = false;
   // Readers pinning from here on synchronize with this advance and
   // therefore see `version` (or newer) — the reclamation rule's anchor.
-  domain_->Advance();
+  // Everything unlinked since the last publish is stamped by it.
+  domain_->AdvanceAndRetire(&retired_);
 }
 
 Result<uint64_t> ProvenanceStore::AddRecord(ProvenanceRecord record) {
@@ -154,7 +159,7 @@ Result<uint64_t> ProvenanceStore::AddRecord(ProvenanceRecord record) {
   ChainIndex::Leaf* leaf = new ChainIndex::Leaf;
   leaf->key = id;
   leaf->head = cell;
-  chain_root_ = ChainIndex::Insert(chain_root_, leaf, domain_);
+  chain_root_ = ChainIndex::Insert(chain_root_, leaf, RetireTarget());
   pruned_.push_back(false);
   ++live_count_;
   MarkDirty();
@@ -205,7 +210,7 @@ Result<size_t> ProvenanceStore::PruneObject(storage::ObjectId id) {
   ChainIndex::Leaf* tombstone = new ChainIndex::Leaf;
   tombstone->key = id;
   tombstone->head = nullptr;
-  chain_root_ = ChainIndex::Insert(chain_root_, tombstone, domain_);
+  chain_root_ = ChainIndex::Insert(chain_root_, tombstone, RetireTarget());
   const ChainNode* cell = head;
   while (cell != nullptr) {
     const ChainNode* prev = cell->prev;

@@ -218,8 +218,12 @@ class ProvenanceStore {
   /// hook itself never allocates).
   void MarkDirty();
 
-  /// Retires through the domain, or frees immediately without one.
+  /// Buffers a node unlinked from the working trie until the next
+  /// publish hands it to the domain, or frees it immediately without one.
   void RetireOrDelete(EpochRetired* node);
+  EpochDomain::RetireBuffer* RetireTarget() {
+    return domain_ != nullptr ? &retired_ : nullptr;
+  }
 
   /// Frees everything this store owns (current trie + chain cells,
   /// published/spare versions). Retired nodes belong to the domain.
@@ -238,6 +242,8 @@ class ProvenanceStore {
   storage::WalWriter* wal_ = nullptr;  // borrowed; see AttachWal
 
   EpochDomain* domain_ = nullptr;  // borrowed; see AttachEpochDomain
+  /// Nodes unlinked since the last publish (see PublishSnapshot).
+  EpochDomain::RetireBuffer retired_;
   std::atomic<StoreVersion*> published_{nullptr};
   StoreVersion* spare_ = nullptr;  // preallocated next version
   bool dirty_ = false;             // writer state ahead of published_

@@ -673,14 +673,14 @@ Status TrackedDatabase::CheckpointWal(const crypto::Signer& signer,
     return Status::FailedPrecondition("no WAL attached to this database");
   }
   // Roll → seal → GC, the same crash-safe order as the ingest pipeline
-  // (see IngestPipeline::CheckpointShard and DESIGN.md §13).
+  // (see IngestPipeline's background seals and DESIGN.md §13).
   PROVDB_ASSIGN_OR_RETURN(uint64_t horizon, wal->RollSegment());
   if (horizon <= wal->checkpoint_horizon()) {
     return Status::OK();
   }
-  PROVDB_RETURN_IF_ERROR(CheckpointWriter::Write(wal->env(), wal->dir(),
-                                                 store_, horizon, signer,
-                                                 sealer_id, alg));
+  PROVDB_RETURN_IF_ERROR(CheckpointWriter::Write(
+      wal->env(), wal->dir(), store_.CurrentView(), horizon, signer,
+      sealer_id, alg));
   PROVDB_RETURN_IF_ERROR(
       RemoveStaleCheckpoints(wal->env(), wal->dir(), horizon));
   return wal->GarbageCollect(horizon);

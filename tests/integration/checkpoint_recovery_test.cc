@@ -13,8 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/thread_pool.h"
+#include "observability/metrics.h"
 
 #include "provenance/checkpoint.h"
 #include "provenance/ingest_pipeline.h"
@@ -23,14 +29,19 @@
 #include "storage/fault_injection_env.h"
 #include "storage/wal.h"
 #include "testing/differential.h"
+#include "testing/gated_env.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
 namespace {
 
 using provdb::testing::DifferentialWorkloadOptions;
+using provdb::testing::ForwardingEnv;
+using provdb::testing::GatedEnv;
 using provdb::testing::IngestWorkloadBuilder;
 using provdb::testing::RandomDifferentialWorkload;
+using provdb::testing::ShardPrefixStore;
+using provdb::testing::ShardRequestIndices;
 using provdb::testing::TestPki;
 using provdb::testing::WipeIngestRoot;
 using storage::Env;
@@ -501,6 +512,308 @@ TEST(CheckpointedIngestCrashSweepTest, CrashAtEveryMutatingOp) {
       }
     }
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Background seals: a seal runs on the seal worker while the shard keeps
+// ingesting into the fresh segment.
+// ---------------------------------------------------------------------------
+
+/// Seals handed to the seal worker and not yet finished (process-wide).
+int64_t SealsInFlight() {
+  return observability::GlobalMetrics().gauge("checkpoint.inflight")->value();
+}
+
+/// Per-shard encoded records of a crash-free replay of `requests`.
+std::array<std::vector<Bytes>, kSweepShards> GoldenShards(
+    const std::vector<IngestRequest>& requests,
+    const crypto::SignatureVerifier* verifier, const std::string& tag) {
+  std::array<std::vector<Bytes>, kSweepShards> golden;
+  auto pipeline = provdb::testing::ReplayThroughPipeline(
+      Env::Default(), FreshDir(tag), requests,
+      CheckpointedIngestOptions(verifier));
+  EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  if (!pipeline.ok()) return golden;
+  for (size_t s = 0; s < kSweepShards; ++s) {
+    const ProvenanceStore& shard = (*pipeline)->store().shard(s);
+    for (uint64_t i = 0; i < shard.record_count(); ++i) {
+      golden[s].push_back(EncodeRecord(shard.record(i)));
+    }
+  }
+  return golden;
+}
+
+/// Submits requests from `*next` until a background seal is in flight,
+/// then waits for it to reach the gate.
+void IngestUntilSealHeld(IngestPipeline* pipeline, GatedEnv* gated,
+                         const std::vector<IngestRequest>& requests,
+                         size_t* next) {
+  while (SealsInFlight() == 0 && *next < requests.size()) {
+    ASSERT_TRUE(pipeline->Submit(requests[(*next)++]).ok());
+  }
+  ASSERT_GT(SealsInFlight(), 0) << "the checkpoint policy never fired";
+  gated->AwaitHeld(1);
+}
+
+/// Recovered records of every shard must lie between what was acked and
+/// what was submitted, match the crash-free run byte for byte, and verify.
+void ExpectAckedSubsetOfRecoveredSubsetOfSubmitted(
+    Env* env, const std::string& root,
+    const crypto::SignatureVerifier& verifier,
+    const std::array<uint64_t, kSweepShards>& acked,
+    const std::array<uint64_t, kSweepShards>& submitted,
+    const std::array<std::vector<Bytes>, kSweepShards>& golden) {
+  auto recovered =
+      ShardedProvenanceStore::Recover(env, root, kSweepShards, nullptr,
+                                      &verifier);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  for (size_t s = 0; s < kSweepShards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const ProvenanceStore& shard = recovered->shard(s);
+    EXPECT_GE(shard.record_count(), acked[s]) << "an acked record was lost";
+    EXPECT_LE(shard.record_count(), submitted[s]);
+    ASSERT_LE(shard.record_count(), golden[s].size());
+    for (uint64_t i = 0; i < shard.record_count(); ++i) {
+      EXPECT_EQ(EncodeRecord(shard.record(i)), golden[s][i]);
+    }
+  }
+  auto report = recovered->VerifyChains(TestPki::Instance().registry());
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// The crash lands inside a background seal while the shard's next
+// batches append to the fresh segment: the first seal is held at its
+// fsync, more batches are acked, then the crash is swept over every
+// mutating op from the seal's release on — the seal's fsync, rename and
+// directory sync interleaved with further batches and the GC after it.
+TEST(CheckpointedIngestCrashSweepTest,
+     CrashInsideBackgroundSealWhileTheNextBatchAppends) {
+  auto verifier = SealVerifier();
+  IngestWorkloadBuilder builder;
+  DifferentialWorkloadOptions wl;
+  wl.num_ops = 30;
+  ASSERT_TRUE(RandomDifferentialWorkload(&builder, 0xC4B5Au, wl).ok());
+  const std::vector<IngestRequest>& requests = builder.requests();
+  const auto golden = GoldenShards(requests, &verifier, "sealcrash_golden");
+
+  // One run, crashing at mutating op `k` after the seal's release (0 =
+  // no crash); returns how many mutating ops followed the release.
+  auto run = [&](uint64_t k) -> uint64_t {
+    SCOPED_TRACE("crash at mutating op " + std::to_string(k) +
+                 " after the seal's release");
+    FaultInjectionEnv fault(Env::Default());
+    GatedEnv gated(&fault, ".pvck.tmp");
+    gated.Hold();
+    const std::string root = FreshDir("sealcrash" + std::to_string(k));
+    std::array<uint64_t, kSweepShards> acked{};
+    std::array<uint64_t, kSweepShards> submitted{};
+    uint64_t released_at = 0;
+    size_t next = 0;
+    {
+      auto pipeline = IngestPipeline::Open(
+          &gated, root, CheckpointedIngestOptions(&verifier));
+      EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+      if (!pipeline.ok()) return 0;
+      IngestUntilSealHeld(pipeline->get(), &gated, requests, &next);
+      if (::testing::Test::HasFatalFailure()) return 0;
+      // The next batches append to the fresh segment and are acked while
+      // the seal is still held.
+      for (size_t i = 0; i < 6 && next < requests.size(); ++i) {
+        EXPECT_TRUE((*pipeline)->Submit(requests[next++]).ok());
+      }
+      EXPECT_TRUE((*pipeline)->Drain().ok());
+      auto ack = [&] {
+        for (size_t s = 0; s < kSweepShards; ++s) {
+          acked[s] = (*pipeline)->store().shard(s).record_count();
+        }
+      };
+      ack();
+      released_at = fault.mutating_ops();
+      if (k > 0) fault.ScheduleCrashAtOp(k);
+      gated.Release();
+      while (next < requests.size()) {
+        if (!(*pipeline)->Submit(requests[next++]).ok()) break;
+        if (!(*pipeline)->Drain().ok()) break;
+        ack();
+      }
+      for (size_t i = 0; i < next; ++i) {
+        ++submitted[ShardedProvenanceStore::ShardOf(requests[i].object,
+                                                    kSweepShards)];
+      }
+      // Scope exit without Close(): the crash. The seal worker finishes
+      // (or fails on the frozen disk) before the pipeline is gone.
+    }
+    const uint64_t ops_after_release = fault.mutating_ops() - released_at;
+    fault.ClearFaults();
+    EXPECT_TRUE(fault.DropUnsyncedFileData().ok());
+    ExpectAckedSubsetOfRecoveredSubsetOfSubmitted(&fault, root, verifier,
+                                                  acked, submitted, golden);
+    return ops_after_release;
+  };
+
+  const uint64_t budget = run(0);
+  ASSERT_GT(budget, 4u) << "too few ops after the seal's release to sweep";
+  for (uint64_t k = 1; k <= budget; ++k) {
+    run(k);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// Destroying the pipeline while a seal is in flight is the crash model
+// too: the seal worker finishes on its own, nothing un-synced survives
+// the power cut, and the store recovers with every acked record.
+TEST(CheckpointedIngestTest, DestroyingWithASealInFlightStillRecovers) {
+  auto verifier = SealVerifier();
+  IngestWorkloadBuilder builder;
+  DifferentialWorkloadOptions wl;
+  wl.num_ops = 24;
+  ASSERT_TRUE(RandomDifferentialWorkload(&builder, 0xC4B5Bu, wl).ok());
+  const std::vector<IngestRequest>& requests = builder.requests();
+  const auto golden = GoldenShards(requests, &verifier, "destroy_golden");
+
+  FaultInjectionEnv fault(Env::Default());
+  GatedEnv gated(&fault, ".pvck.tmp");
+  gated.Hold();
+  const std::string root = FreshDir("destroy_inflight");
+  auto opened = IngestPipeline::Open(&gated, root,
+                                     CheckpointedIngestOptions(&verifier));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<IngestPipeline> pipeline = std::move(*opened);
+  size_t next = 0;
+  IngestUntilSealHeld(pipeline.get(), &gated, requests, &next);
+  if (::testing::Test::HasFatalFailure()) return;
+  for (size_t i = 0; i < 4 && next < requests.size(); ++i) {
+    ASSERT_TRUE(pipeline->Submit(requests[next++]).ok());
+  }
+  ASSERT_TRUE(pipeline->Drain().ok());
+  std::array<uint64_t, kSweepShards> acked{};
+  std::array<uint64_t, kSweepShards> submitted{};
+  for (size_t s = 0; s < kSweepShards; ++s) {
+    acked[s] = pipeline->store().shard(s).record_count();
+  }
+  for (size_t i = 0; i < next; ++i) {
+    ++submitted[ShardedProvenanceStore::ShardOf(requests[i].object,
+                                                kSweepShards)];
+  }
+
+  // Destroy with the seal still held, then let it go.
+  ThreadPool destroyer(1);
+  std::future<void> destroyed =
+      destroyer.Submit([&pipeline] { pipeline.reset(); });
+  gated.Release();
+  destroyed.get();
+
+  ASSERT_TRUE(fault.DropUnsyncedFileData().ok());
+  ExpectAckedSubsetOfRecoveredSubsetOfSubmitted(&fault, root, verifier, acked,
+                                                submitted, golden);
+
+  // And the recovered directory reopens and keeps ingesting.
+  auto reopened = IngestPipeline::Open(&fault, root,
+                                       CheckpointedIngestOptions(&verifier));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE((*reopened)->Close().ok());
+}
+
+/// Keeps a copy of every checkpoint the moment its rename lands, before
+/// a later seal's GC can delete it.
+class SealCaptureEnv final : public ForwardingEnv {
+ public:
+  using ForwardingEnv::ForwardingEnv;
+
+  struct Seal {
+    std::string dir;
+    uint64_t horizon = 0;
+    Bytes file;
+  };
+
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    PROVDB_RETURN_IF_ERROR(base()->RenameFile(from, to));
+    if (to.size() > 5 && to.compare(to.size() - 5, 5, ".pvck") == 0) {
+      PROVDB_ASSIGN_OR_RETURN(Bytes file, base()->ReadFileToBytes(to));
+      const std::string dir = storage::ParentDir(to);
+      PROVDB_ASSIGN_OR_RETURN(uint64_t horizon,
+                              LatestCheckpointHorizon(base(), dir));
+      std::lock_guard<std::mutex> lock(mu_);
+      seals_.push_back(Seal{dir, horizon, std::move(file)});
+    }
+    return Status::OK();
+  }
+
+  std::vector<Seal> seals() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return seals_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<Seal> seals_;
+};
+
+// A seal taken in the background while ingest continues must be
+// byte-identical to a checkpoint written over a quiesced replay of
+// exactly the batch prefix it covers (the concurrent-audit differential's
+// prefix machinery): the pinned version it serialized was an exact
+// durable batch prefix, and nothing the writer did meanwhile leaked in.
+TEST(CheckpointedIngestTest, BackgroundSealMatchesQuiescedPrefixReplay) {
+  auto verifier = SealVerifier();
+  IngestWorkloadBuilder builder;
+  DifferentialWorkloadOptions wl;
+  wl.num_ops = 60;
+  ASSERT_TRUE(RandomDifferentialWorkload(&builder, 0xC4B5Cu, wl).ok());
+
+  SealCaptureEnv env(Env::Default());
+  const std::string root = FreshDir("seal_prefix");
+  IngestOptions options = CheckpointedIngestOptions(&verifier);
+  options.max_batch_bytes = 1ull << 30;  // only the record threshold fires
+  auto pipeline = IngestPipeline::Open(&env, root, options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  for (const IngestRequest& request : builder.requests()) {
+    ASSERT_TRUE((*pipeline)->Submit(request).ok());
+  }
+  ASSERT_TRUE((*pipeline)->Close().ok());
+
+  const std::vector<std::vector<uint64_t>> shard_seq =
+      ShardRequestIndices(builder, kSweepShards);
+  const std::vector<SealCaptureEnv::Seal> seals = env.seals();
+  ASSERT_GE(seals.size(), 2u) << "too few background seals to compare";
+  const std::string scratch = FreshDir("seal_prefix_replay");
+  ASSERT_TRUE(Env::Default()->CreateDir(scratch).ok());
+  for (const SealCaptureEnv::Seal& seal : seals) {
+    size_t shard = kSweepShards;
+    for (size_t s = 0; s < kSweepShards; ++s) {
+      if (seal.dir == ShardedProvenanceStore::ShardDirName(root, s)) shard = s;
+    }
+    ASSERT_LT(shard, kSweepShards) << seal.dir;
+    SCOPED_TRACE("shard " + std::to_string(shard) + " horizon " +
+                 std::to_string(seal.horizon));
+
+    // The prefix the seal covers: its record count, on a batch boundary.
+    const std::string copy = CheckpointFileName(scratch, seal.horizon);
+    {
+      auto file = Env::Default()->NewWritableFile(copy);
+      ASSERT_TRUE(file.ok());
+      ASSERT_TRUE((*file)->Append(seal.file).ok());
+      ASSERT_TRUE((*file)->Close().ok());
+    }
+    auto loaded = CheckpointReader::Load(Env::Default(), copy, verifier);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const uint64_t n = loaded->manifest.live_records;
+    EXPECT_TRUE(n % options.max_batch_records == 0 ||
+                n == shard_seq[shard].size())
+        << n << " records is not a batch boundary";
+
+    // The quiesced replay of that prefix, sealed at the same horizon.
+    auto prefix = ShardPrefixStore(builder, kSweepShards, shard, n);
+    ASSERT_TRUE(prefix.ok()) << prefix.status().ToString();
+    ASSERT_TRUE(CheckpointWriter::Write(Env::Default(), scratch,
+                                        prefix->CurrentView(), seal.horizon,
+                                        P(1).signer(), P(1).id())
+                    .ok());
+    auto replayed = Env::Default()->ReadFileToBytes(copy);
+    ASSERT_TRUE(replayed.ok());
+    EXPECT_TRUE(*replayed == seal.file)
+        << "background seal differs from the quiesced prefix replay";
   }
 }
 

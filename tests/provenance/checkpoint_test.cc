@@ -102,8 +102,9 @@ size_t ReadVarintAt(const Bytes& bytes, size_t* pos) {
 
 TEST_F(CheckpointTest, RoundTripRestoresStoreAndManifest) {
   ProvenanceStore store = SmallStore();
-  ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, store, /*wal_horizon=*/3,
-                                      Sealer(), /*sealer_id=*/1)
+  ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                                      /*wal_horizon=*/3, Sealer(),
+                                      /*sealer_id=*/1)
                   .ok());
   ASSERT_TRUE(env_->FileExists(CheckpointFileName(dir_, 3)));
 
@@ -123,7 +124,8 @@ TEST_F(CheckpointTest, RoundTripRestoresStoreAndManifest) {
 TEST_F(CheckpointTest, EmptyStoreStillSeals) {
   ProvenanceStore store;
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 1, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              1, Sealer(), 1).ok());
   auto verifier = SealVerifier();
   auto loaded =
       CheckpointReader::Load(env_, CheckpointFileName(dir_, 1), verifier);
@@ -136,7 +138,8 @@ TEST_F(CheckpointTest, PrunedRecordsAreNotResurrected) {
   ProvenanceStore store = SmallStore();
   ASSERT_TRUE(store.PruneObject(9).ok());
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 2, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              2, Sealer(), 1).ok());
 
   auto verifier = SealVerifier();
   auto loaded =
@@ -150,14 +153,17 @@ TEST_F(CheckpointTest, PrunedRecordsAreNotResurrected) {
 
 TEST_F(CheckpointTest, WriteRejectsHorizonZero) {
   ProvenanceStore store = SmallStore();
-  EXPECT_EQ(CheckpointWriter::Write(env_, dir_, store, 0, Sealer(), 1).code(),
+  EXPECT_EQ(CheckpointWriter::Write(env_, dir_, store.CurrentView(), 0,
+                                    Sealer(), 1)
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(CheckpointTest, EveryByteFlipIsRefused) {
   ProvenanceStore store = SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 1, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              1, Sealer(), 1).ok());
   const std::string path = CheckpointFileName(dir_, 1);
   const Bytes pristine = ReadAll(path);
   auto verifier = SealVerifier();
@@ -178,7 +184,8 @@ TEST_F(CheckpointTest, EveryByteFlipIsRefused) {
 TEST_F(CheckpointTest, TamperedRecordWithPatchedCrcFailsTheSeal) {
   ProvenanceStore store = SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 1, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              1, Sealer(), 1).ok());
   const std::string path = CheckpointFileName(dir_, 1);
   Bytes content = ReadAll(path);
 
@@ -209,7 +216,8 @@ TEST_F(CheckpointTest, TamperedRecordWithPatchedCrcFailsTheSeal) {
 TEST_F(CheckpointTest, WrongKeyIsRefused) {
   ProvenanceStore store = SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 1, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              1, Sealer(), 1).ok());
   // Participant 2's key did not seal this checkpoint.
   crypto::RsaSignatureVerifier wrong_key(
       TestPki::Instance().participant(1).public_key());
@@ -225,9 +233,11 @@ TEST_F(CheckpointTest, LatestHorizonPicksNewestAndIgnoresTmp) {
 
   ProvenanceStore store = SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 2, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              2, Sealer(), 1).ok());
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 5, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              5, Sealer(), 1).ok());
   // An in-flight .tmp (crash mid-write) must never win, whatever its
   // number claims.
   WriteAll(dir_ + "/checkpoint-000009.pvck.tmp", Bytes(8, 0xAB));
@@ -240,9 +250,11 @@ TEST_F(CheckpointTest, LatestHorizonPicksNewestAndIgnoresTmp) {
 TEST_F(CheckpointTest, RemoveStaleKeepsTheSealAtKeepHorizon) {
   ProvenanceStore store = SmallStore();
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 2, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              2, Sealer(), 1).ok());
   ASSERT_TRUE(
-      CheckpointWriter::Write(env_, dir_, store, 5, Sealer(), 1).ok());
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              5, Sealer(), 1).ok());
   WriteAll(dir_ + "/checkpoint-000009.pvck.tmp", Bytes(8, 0xAB));
 
   ASSERT_TRUE(RemoveStaleCheckpoints(env_, dir_, 5).ok());

@@ -15,9 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "common/hex.h"
+#include "common/rng.h"
 #include "crypto/hash.h"
+#include "provenance/checkpoint.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
+#include "storage/env.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
@@ -66,6 +69,59 @@ RecipientBundle BuildBundle() {
   return db.ExportForRecipient(report).value();
 }
 
+/// SHA-1 of the sealed checkpoint file BuildCheckpointFile() writes.
+/// Pinned 2026-10-17 against the store-scanning serializer, before
+/// CheckpointWriter moved onto read views: the file covers the header,
+/// manifest, every live record in store-index order, the chain tails and
+/// the RSA seal, so any drift in record order, tail order or framing
+/// flips it.
+constexpr char kGoldenCheckpointSha1[] =
+    "d680cad43a76ed76f235ecb988abbbe29b74b5e4";
+
+/// A seeded workload over several chains — interleaved updates, an
+/// aggregate, a deleted-and-pruned object (a tombstone between live
+/// records) — sealed into one checkpoint file; returns the file bytes.
+Bytes BuildCheckpointFile() {
+  const TestPki& pki = TestPki::Instance();
+  TrackedDatabase db;
+  std::vector<ObjectId> objects;
+  for (int i = 0; i < 6; ++i) {
+    objects.push_back(
+        db.Insert(pki.participant(static_cast<size_t>(i) % 4),
+                  Value::Int(i))
+            .value());
+  }
+  ObjectId doomed = db.Insert(pki.participant(1), Value::Int(99)).value();
+  EXPECT_TRUE(db.Update(pki.participant(2), doomed, Value::Int(100)).ok());
+  Rng rng(0xC4EC4901u);
+  for (int i = 0; i < 24; ++i) {
+    ObjectId id = objects[rng.NextBelow(objects.size())];
+    EXPECT_TRUE(db.Update(pki.participant(rng.NextBelow(4)), id,
+                          Value::Int(static_cast<int64_t>(rng.NextBelow(1000))))
+                    .ok());
+  }
+  ObjectId merged = db.Aggregate(pki.participant(3),
+                                 {objects[0], objects[2], objects[4]},
+                                 Value::String("merged"))
+                        .value();
+  EXPECT_TRUE(db.Update(pki.participant(0), merged, Value::String("m2")).ok());
+  EXPECT_TRUE(db.Update(pki.participant(1), objects[5], Value::Int(7)).ok());
+  EXPECT_TRUE(db.mutable_provenance()->PruneObject(doomed).ok());
+
+  storage::Env* env = storage::Env::Default();
+  const std::string dir = ::testing::TempDir() + "/provdb_golden_checkpoint";
+  EXPECT_TRUE(env->CreateDir(dir).ok());
+  const uint64_t horizon = 7;
+  EXPECT_TRUE(CheckpointWriter::Write(env, dir, db.provenance().CurrentView(),
+                                      horizon, pki.participant(0).signer(),
+                                      pki.participant(0).id())
+                  .ok());
+  auto bytes = env->ReadFileToBytes(CheckpointFileName(dir, horizon));
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_TRUE(env->RemoveFile(CheckpointFileName(dir, horizon)).ok());
+  return bytes.ok() ? *bytes : Bytes();
+}
+
 TEST(GoldenDigestTest, BundleEncodingIsPinned) {
   RecipientBundle bundle = BuildBundle();
   Bytes wire = bundle.Serialize();
@@ -75,6 +131,16 @@ TEST(GoldenDigestTest, BundleEncodingIsPinned) {
   EXPECT_EQ(digest, kGoldenBundleSha256)
       << "canonical bundle encoding drifted (" << wire.size()
       << " wire bytes). If intentional, re-pin kGoldenBundleSha256.";
+}
+
+TEST(GoldenDigestTest, CheckpointFileIsPinned) {
+  Bytes file = BuildCheckpointFile();
+  ASSERT_FALSE(file.empty());
+  std::string digest =
+      HexEncode(crypto::HashBytes(crypto::HashAlgorithm::kSha1, file).view());
+  EXPECT_EQ(digest, kGoldenCheckpointSha1)
+      << "checkpoint file encoding drifted (" << file.size()
+      << " bytes). If intentional, re-pin kGoldenCheckpointSha1.";
 }
 
 TEST(GoldenDigestTest, EncodingIsStableAcrossRebuilds) {

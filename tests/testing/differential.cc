@@ -205,22 +205,48 @@ Status WipeIngestRoot(storage::Env* env, const std::string& root) {
   return Status::OK();
 }
 
-Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,
-                                  const IngestWorkloadBuilder& builder,
-                                  size_t max_batch_records) {
-  const size_t num_shards = snapshot.num_shards();
+std::vector<std::vector<uint64_t>> ShardRequestIndices(
+    const IngestWorkloadBuilder& builder, size_t num_shards) {
   const std::vector<IngestRequest>& requests = builder.requests();
-  const provenance::ProvenanceStore& reference = builder.reference_store();
-
-  // Request i produced reference record i (the builder applies them in
-  // submission order), so each shard's durable prefix is a prefix of
-  // that shard's subsequence of reference record indices.
   std::vector<std::vector<uint64_t>> shard_seq(num_shards);
   for (uint64_t i = 0; i < requests.size(); ++i) {
     const size_t s = provenance::ShardedProvenanceStore::ShardOf(
         requests[i].object, num_shards);
     shard_seq[s].push_back(i);
   }
+  return shard_seq;
+}
+
+Result<provenance::ProvenanceStore> ShardPrefixStore(
+    const IngestWorkloadBuilder& builder, size_t num_shards, size_t shard,
+    uint64_t n) {
+  const std::vector<uint64_t> indices =
+      ShardRequestIndices(builder, num_shards)[shard];
+  if (n > indices.size()) {
+    return Status::InvalidArgument(
+        "shard " + std::to_string(shard) + " has only " +
+        std::to_string(indices.size()) + " records, not " +
+        std::to_string(n));
+  }
+  provenance::ProvenanceStore store;
+  for (uint64_t k = 0; k < n; ++k) {
+    PROVDB_RETURN_IF_ERROR(
+        store.AddRecord(builder.reference_store().record(indices[k]))
+            .status());
+  }
+  return store;
+}
+
+Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,
+                                  const IngestWorkloadBuilder& builder,
+                                  size_t max_batch_records) {
+  const size_t num_shards = snapshot.num_shards();
+  const provenance::ProvenanceStore& reference = builder.reference_store();
+
+  // Each shard's durable prefix is a prefix of that shard's subsequence
+  // of reference record indices.
+  const std::vector<std::vector<uint64_t>> shard_seq =
+      ShardRequestIndices(builder, num_shards);
 
   // Per-shard: boundary-count legality, then byte-identical chains.
   std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>

@@ -140,6 +140,20 @@ struct ConcurrentAuditStats {
   size_t distinct_cuts = 0;
 };
 
+/// The indices (into builder.requests(), and so into its reference
+/// store: request i produced reference record i) of the requests routed
+/// to each shard of a `num_shards`-way split, in submission order. A
+/// shard's durable batch prefix of n records is exactly its first n.
+std::vector<std::vector<uint64_t>> ShardRequestIndices(
+    const IngestWorkloadBuilder& builder, size_t num_shards);
+
+/// A quiesced store holding exactly the first `n` records routed to
+/// shard `shard` — what that shard holds after replaying that batch
+/// prefix alone.
+Result<provenance::ProvenanceStore> ShardPrefixStore(
+    const IngestWorkloadBuilder& builder, size_t num_shards, size_t shard,
+    uint64_t n);
+
 /// Asserts that `snapshot` is an *exact durable batch prefix* of the
 /// builder's request stream: for every shard, the cut's record count
 /// lies on a group-commit boundary (a multiple of `max_batch_records`,

@@ -27,7 +27,9 @@
 #                  overload), the load-generator suites, and the
 #                  every-byte-flip / every-truncation wire tamper matrix
 #   tsan           ThreadSanitizer over the parallel verify/audit paths,
-#                  the sharded ingest pipeline's parallel signing, the
+#                  the sharded ingest pipeline (parallel signing, per-shard
+#                  flush ownership, overlapped shard fsyncs), the
+#                  checkpoint suites (background seals racing ingest), the
 #                  concurrent metrics-recording tests, the epoch/snapshot
 #                  suites, and the network server's poll/executor/
 #                  multi-client thread soup (the Server* suites)
@@ -203,9 +205,10 @@ stage_tsan() {
   run cmake --build "$OUT/tsan" -j "$JOBS" \
     --target common_test provenance_core_test provenance_security_test \
     provenance_ext_test provenance_ingest_test provenance_snapshot_test \
+    provenance_checkpoint_test integration_checkpoint_recovery_test \
     observability_test net_server_test workload_load_generator_test
   run ctest --test-dir "$OUT/tsan" --output-on-failure -j "$JOBS" \
-    -R 'ThreadPool|Parallel|Audit|Concurrent|Ingest|Server|Epoch|Snapshot'
+    -R 'ThreadPool|Parallel|Audit|Concurrent|Ingest|Server|Epoch|Snapshot|Checkpoint'
 }
 
 stage_snapshot() {

@@ -116,8 +116,9 @@ int main(int argc, char** argv) {
   }
   linter.SetTestCorpus(std::move(corpus));
 
-  size_t files_scanned = 0;
-  std::vector<Finding> findings;
+  // Read every target first: R09 needs the PROVDB_REQUIRES declarations
+  // of the whole tree (a header's) before it lints any body (a .cc's).
+  std::vector<std::pair<std::string, std::string>> sources;  // path, text
   for (const std::string& target : targets) {
     fs::path start = fs::path(target).is_absolute() ? fs::path(target)
                                                     : root / target;
@@ -134,11 +135,16 @@ int main(int argc, char** argv) {
                      file.string().c_str());
         return 2;
       }
-      ++files_scanned;
-      for (Finding& finding :
-           linter.LintContent(Relative(file, root), content)) {
-        findings.push_back(std::move(finding));
-      }
+      linter.AddLockRequiringDeclarations(content);
+      sources.emplace_back(Relative(file, root), std::move(content));
+    }
+  }
+
+  const size_t files_scanned = sources.size();
+  std::vector<Finding> findings;
+  for (const auto& [path, content] : sources) {
+    for (Finding& finding : linter.LintContent(path, content)) {
+      findings.push_back(std::move(finding));
     }
   }
 
