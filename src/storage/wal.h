@@ -88,10 +88,9 @@ struct WalOptions {
 ///
 /// Externally synchronized: a WalWriter holds no mutex of its own.
 /// Exactly one owner drives it at a time — in the sharded pipeline that
-/// owner is IngestPipeline, whose pipeline-wide lock `mu_` serializes all
-/// shard WAL calls (the shards_ vector that reaches the writers is
-/// PROVDB_GUARDED_BY(mu_), so the analysis enforces the ownership path
-/// even though the writer itself carries no annotations).
+/// owner is whichever thread holds the shard's flush ownership (taken
+/// and handed back under the shard's mutex, DESIGN.md §12), which does
+/// its appends and fsyncs with no lock held.
 class WalWriter {
  public:
   WalWriter(WalWriter&&) = default;
