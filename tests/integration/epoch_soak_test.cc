@@ -146,7 +146,8 @@ TEST(EpochSoakTest, ConcurrentIngestAuditCheckpointStaysFlat) {
   // drain every deferred node — the epoch.retired backlog goes to zero.
   EpochDomain* domain = (*pipeline)->store().epoch_domain();
   ASSERT_NE(domain, nullptr);
-  domain->Advance();
+  EpochDomain::RetireBuffer none;
+  domain->AdvanceAndRetire(&none);
   domain->Collect();
   EXPECT_EQ(domain->retired_pending(), 0u);
   EXPECT_EQ(domain->min_pinned_epoch(), 0u);

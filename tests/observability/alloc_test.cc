@@ -161,7 +161,8 @@ TEST(AllocTest, SnapshotPublishHookAllocatesNothing) {
   }
   // Reclaiming the retired backlog is intrusive list surgery — deletes
   // only, no news.
-  domain.Advance();
+  EpochDomain::RetireBuffer none;
+  domain.AdvanceAndRetire(&none);
   uint64_t before = AllocationCount();
   EXPECT_GT(domain.Collect(), 0u);
   EXPECT_EQ(AllocationCount(), before);
