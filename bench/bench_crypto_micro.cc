@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the cryptographic primitives
 // behind every checksum (§2.3/§5.1): hash throughput for the three
-// algorithms, HMAC, RSA sign/verify at several key sizes, per-node tree
+// algorithms, CRC-32 throughput (every WAL, checkpoint and wire frame),
+// HMAC, RSA sign/verify at several key sizes, per-node tree
 // hashing, and the end-to-end cost of producing one checksum.
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 
 #include "bench_common.h"
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "crypto/bignum.h"
 #include "crypto/bignum_kernels.h"
@@ -47,6 +49,16 @@ BENCHMARK_CAPTURE(BM_Hash, sha256, HashAlgorithm::kSha256)
     ->Arg(64)->Arg(1024)->Arg(65536);
 BENCHMARK_CAPTURE(BM_Hash, md5, HashAlgorithm::kMd5)
     ->Arg(64)->Arg(1024)->Arg(65536);
+
+void BM_Crc32(benchmark::State& state) {
+  Bytes payload = MakePayload(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(payload));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 void BM_Hmac(benchmark::State& state) {
   Bytes key = MakePayload(20);

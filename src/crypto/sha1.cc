@@ -2,16 +2,11 @@
 
 #include <cstring>
 
+#include "crypto/sha1_kernels.h"
+
 namespace provdb::crypto {
 
 namespace {
-
-inline uint32_t Rotl(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
-
-inline uint32_t LoadBigEndian32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) << 24 | static_cast<uint32_t>(p[1]) << 16 |
-         static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
-}
 
 inline void StoreBigEndian32(uint8_t* p, uint32_t v) {
   p[0] = static_cast<uint8_t>(v >> 24);
@@ -21,6 +16,8 @@ inline void StoreBigEndian32(uint8_t* p, uint32_t v) {
 }
 
 }  // namespace
+
+Sha1Hasher::Sha1Hasher() : Sha1Hasher(Sha1BlockKernel(SelectedSha1Kernel())) {}
 
 void Sha1Hasher::Reset() {
   h_[0] = 0x67452301u;
@@ -45,13 +42,15 @@ void Sha1Hasher::Update(ByteView data) {
     buffered_ += take;
     pos += take;
     if (buffered_ == kBlockSize) {
-      ProcessBlock(buffer_);
+      kernel_(h_, buffer_, 1);
       buffered_ = 0;
     }
   }
-  while (pos + kBlockSize <= data.size()) {
-    ProcessBlock(data.data() + pos);
-    pos += kBlockSize;
+  // Every whole block left goes to the kernel in one call.
+  const size_t blocks = (data.size() - pos) / kBlockSize;
+  if (blocks > 0) {
+    kernel_(h_, data.data() + pos, blocks);
+    pos += blocks * kBlockSize;
   }
   if (pos < data.size()) {
     std::memcpy(buffer_, data.data() + pos, data.size() - pos);
@@ -83,46 +82,6 @@ Digest Sha1Hasher::Finish() {
     StoreBigEndian32(d.mutable_data() + 4 * i, h_[i]);
   }
   return d;
-}
-
-void Sha1Hasher::ProcessBlock(const uint8_t* block) {
-  uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadBigEndian32(block + 4 * i);
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = Rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    uint32_t temp = Rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = Rotl(b, 30);
-    b = a;
-    a = temp;
-  }
-
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
 }
 
 }  // namespace provdb::crypto

@@ -1,6 +1,7 @@
 #ifndef PROVDB_CRYPTO_SHA1_H_
 #define PROVDB_CRYPTO_SHA1_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "crypto/hash.h"
@@ -18,7 +19,16 @@ class Sha1Hasher final : public Hasher {
   static constexpr size_t kDigestSize = 20;
   static constexpr size_t kBlockSize = 64;
 
-  Sha1Hasher() { Reset(); }
+  /// A compression kernel: folds `count` consecutive 64-byte blocks into
+  /// `state` (h0..h4). See crypto/sha1_kernels.h.
+  using BlockKernel = void (*)(uint32_t* state, const uint8_t* blocks,
+                               size_t count);
+
+  /// Uses the process-wide kernel, chosen once from CPUID.
+  Sha1Hasher();
+  /// Pins `kernel`; the kernel tests drive each one through the same
+  /// buffering.
+  explicit Sha1Hasher(BlockKernel kernel) : kernel_(kernel) { Reset(); }
 
   void Reset() override;
   void Update(ByteView data) override;
@@ -28,8 +38,7 @@ class Sha1Hasher final : public Hasher {
   HashAlgorithm algorithm() const override { return HashAlgorithm::kSha1; }
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
+  BlockKernel kernel_;
   uint32_t h_[5];
   uint64_t total_bytes_;
   uint8_t buffer_[kBlockSize];

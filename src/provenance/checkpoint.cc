@@ -72,9 +72,14 @@ void AppendFrame(Bytes* out, ByteView payload) {
 /// length prefix keeps payload boundaries unambiguous under
 /// concatenation (two different frame sequences can never hash alike).
 void AbsorbFrame(crypto::Hasher* hasher, ByteView payload) {
-  Bytes len;
-  AppendFixed64(&len, payload.size());
-  hasher->Update(len);
+  // Little-endian fixed64, as AppendFixed64 writes it, on the stack.
+  uint8_t len[8];
+  uint64_t size = payload.size();
+  for (uint8_t& byte : len) {
+    byte = static_cast<uint8_t>(size);
+    size >>= 8;
+  }
+  hasher->Update(ByteView(len, sizeof(len)));
   hasher->Update(payload);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <future>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "observability/trace.h"
@@ -147,8 +148,9 @@ namespace {
 
 /// Verification result of one per-object chain. Chains are self-contained
 /// (§3.2): verifying one reads only its own records, the read-only `chains`
-/// map (for aggregate-input resolution), and the registry — so these
-/// results can be produced on any thread and merged in object-id order.
+/// map (for aggregate-input resolution), and the run's read-only
+/// participant verifiers — so these results can be produced on any thread
+/// and merged in object-id order.
 struct ChainCheckResult {
   std::vector<VerificationIssue> issues;
   uint64_t records_checked = 0;
@@ -179,8 +181,40 @@ const ChainMetrics& GetChainMetrics() {
   return *metrics;
 }
 
+using ParticipantVerifiers =
+    std::map<crypto::ParticipantId, crypto::RsaSignatureVerifier>;
+
+/// One signature verifier — and thus one Montgomery context — per
+/// registered participant whose records `chains` hold. Context derivation
+/// is the expensive part of setting a verifier up
+/// (crypto.bignum.montgomery_contexts counts them), and a run's records
+/// come from a handful of participants, so VerifyRecordChains builds
+/// this once, before any fan-out, and every chain only reads it. A
+/// participant without a CA-endorsed certificate gets no entry; its
+/// records report kUnknownParticipant.
+ParticipantVerifiers BuildParticipantVerifiers(
+    const crypto::ParticipantRegistry& registry, crypto::HashAlgorithm alg,
+    const std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>&
+        chains) {
+  std::set<crypto::ParticipantId> participants;
+  for (const auto& [object, chain] : chains) {
+    for (const ProvenanceRecord* rec : chain) {
+      participants.insert(rec->participant);
+    }
+  }
+  ParticipantVerifiers verifiers;
+  for (crypto::ParticipantId id : participants) {
+    Result<crypto::RsaPublicKey> key = registry.LookupKey(id);
+    if (key.ok()) {
+      verifiers.emplace(
+          id, crypto::RsaSignatureVerifier(std::move(key.value()), alg));
+    }
+  }
+  return verifiers;
+}
+
 ChainCheckResult VerifyOneChain(
-    const crypto::ParticipantRegistry& registry, const ChecksumEngine& engine,
+    const ParticipantVerifiers& verifiers, const ChecksumEngine& engine,
     const std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>&
         chains,
     storage::ObjectId object, const std::vector<const ProvenanceRecord*>& chain) {
@@ -193,13 +227,6 @@ ChainCheckResult VerifyOneChain(
         VerificationIssue{kind, obj, seq, std::move(message)});
   };
   const ChecksumEngine& engine_ = engine;  // keep the original loop body verbatim
-
-  // One RsaSignatureVerifier — and thus one Montgomery context — per
-  // participant seen in this chain, not one per record. Context
-  // derivation is the expensive part of setting a verifier up
-  // (crypto.bignum.montgomery_contexts counts them); a chain's records
-  // typically come from a handful of participants.
-  std::map<crypto::ParticipantId, crypto::RsaSignatureVerifier> verifiers;
 
   {
     const ProvenanceRecord* prev = nullptr;
@@ -332,21 +359,13 @@ ChainCheckResult VerifyOneChain(
       }
 
       // -- Signature (R1, R8) ----------------------------------------
-      Result<crypto::RsaPublicKey> key = registry.LookupKey(rec->participant);
-      if (!key.ok()) {
+      auto verifier = verifiers.find(rec->participant);
+      if (verifier == verifiers.end()) {
         add_issue(IssueKind::kUnknownParticipant, object, rec->seq_id,
                   "participant " + std::to_string(rec->participant) +
                       " has no CA-endorsed certificate");
       } else {
-        auto it = verifiers.find(rec->participant);
-        if (it == verifiers.end()) {
-          it = verifiers
-                   .emplace(rec->participant,
-                            crypto::RsaSignatureVerifier(
-                                key.value(), engine_.algorithm()))
-                   .first;
-        }
-        Status sig = it->second.Verify(payload, rec->checksum);
+        Status sig = verifier->second.Verify(payload, rec->checksum);
         if (!sig.ok()) {
           metrics.signatures_bad->Increment();
           add_issue(IssueKind::kBadSignature, object, rec->seq_id,
@@ -382,9 +401,12 @@ void VerifyRecordChains(
     report.signatures_verified += result.signatures_verified;
   };
 
+  const ParticipantVerifiers verifiers =
+      BuildParticipantVerifiers(registry, engine.algorithm(), chains);
+
   if (pool == nullptr || pool->size() <= 1 || chains.size() <= 1) {
     for (const auto& [object, chain] : chains) {
-      merge(VerifyOneChain(registry, engine, chains, object, chain));
+      merge(VerifyOneChain(verifiers, engine, chains, object, chain));
     }
     return;
   }
@@ -397,9 +419,9 @@ void VerifyRecordChains(
   for (auto it = chains.begin(); it != chains.end(); ++it) {
     const storage::ObjectId object = it->first;
     const std::vector<const ProvenanceRecord*>* chain = &it->second;
-    results.push_back(pool->Submit([&registry, &engine, &chains, object,
+    results.push_back(pool->Submit([&verifiers, &engine, &chains, object,
                                     chain] {
-      return VerifyOneChain(registry, engine, chains, object, *chain);
+      return VerifyOneChain(verifiers, engine, chains, object, *chain);
     }));
   }
   for (std::future<ChainCheckResult>& result : results) {

@@ -74,6 +74,10 @@ struct VerificationReport {
 /// appending issues and counters to `report`. Shared by the recipient-side
 /// ProvenanceVerifier and the in-place StoreAuditor.
 ///
+/// Each registered participant whose records appear gets one signature
+/// verifier (one Montgomery context) per call, built before any fan-out
+/// and shared read-only by every chain.
+///
 /// Chains are per-object and self-contained (§3.2), so when `pool` is
 /// non-null (and has more than one worker) each chain is verified as an
 /// independent pool task. Per-chain results are merged back in ascending

@@ -1,15 +1,21 @@
 // Hash-function tests against the published FIPS 180 / RFC 1321 vectors,
-// plus streaming-equivalence properties around block boundaries.
+// plus streaming-equivalence properties around block boundaries, and the
+// SHA-1 compression kernels each checked on their own and against the
+// portable reference.
 
 #include "crypto/hash.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "crypto/md5.h"
 #include "crypto/sha1.h"
+#include "crypto/sha1_kernels.h"
 #include "crypto/sha256.h"
+#include "observability/metrics.h"
 
 namespace provdb::crypto {
 namespace {
@@ -171,6 +177,118 @@ TEST(HashTest, DistinctMessagesDistinctDigests) {
     EXPECT_NE(HashHex(alg, "message1"), HashHex(alg, "message2"));
     EXPECT_NE(HashHex(alg, ""), HashHex(alg, std::string(1, '\0')));
   }
+}
+
+// ---------------------------------------------------------------------
+// SHA-1 compression kernels
+
+// Runs the FIPS vectors through one pinned kernel. Kernels this CPU
+// cannot run are skipped, never silently swapped for another.
+class Sha1KernelTest : public ::testing::TestWithParam<Sha1Kernel> {
+ protected:
+  void SetUp() override {
+    if (!Sha1KernelSupported(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot run the kernel";
+    }
+  }
+
+  Sha1Hasher MakeHasher() const {
+    return Sha1Hasher(Sha1BlockKernel(GetParam()));
+  }
+
+  std::string Sha1Hex(std::string_view message) const {
+    Sha1Hasher hasher = MakeHasher();
+    hasher.Update(ByteView(message));
+    return hasher.Finish().ToHex();
+  }
+};
+
+TEST_P(Sha1KernelTest, FipsVectors) {
+  EXPECT_EQ(Sha1Hex(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(Sha1Hex("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(
+      Sha1Hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  EXPECT_EQ(Sha1Hex("The quick brown fox jumps over the lazy dog"),
+            "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12");
+}
+
+TEST_P(Sha1KernelTest, MillionAs) {
+  Sha1Hasher hasher = MakeHasher();
+  std::string chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) {
+    hasher.Update(ByteView(chunk));
+  }
+  EXPECT_EQ(hasher.Finish().ToHex(),
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  // The same million bytes in one Update: one kernel call over every
+  // whole block.
+  hasher.Reset();
+  std::string million(1000000, 'a');
+  hasher.Update(ByteView(million));
+  EXPECT_EQ(hasher.Finish().ToHex(),
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha1KernelTest,
+    ::testing::Values(Sha1Kernel::kPortable, Sha1Kernel::kShaNi),
+    [](const ::testing::TestParamInfo<Sha1Kernel>& info) {
+      return info.param == Sha1Kernel::kPortable ? std::string("Portable")
+                                                 : std::string("ShaNi");
+    });
+
+std::string KernelDigestHex(Sha1Kernel kernel, ByteView message,
+                            size_t split) {
+  Sha1Hasher hasher(Sha1BlockKernel(kernel));
+  hasher.Update(message.subview(0, split));
+  hasher.Update(message.subview(split));
+  return hasher.Finish().ToHex();
+}
+
+// SHA-NI against the portable reference on random 0-4 KiB messages:
+// whole, under every two-way chunk split (so every buffered prefix
+// length meets every block-run length), and from unaligned starts.
+TEST(Sha1KernelCrossCheckTest, ShaNiMatchesPortableOnRandomMessages) {
+  if (!Sha1KernelSupported(Sha1Kernel::kShaNi)) {
+    GTEST_SKIP() << "this CPU has no SHA-NI";
+  }
+  Rng rng(0x5A1);
+  std::vector<size_t> lengths = {0, 1, 55, 56, 63, 64, 65, 127, 128, 4096};
+  for (int i = 0; i < 24; ++i) {
+    lengths.push_back(static_cast<size_t>(rng.NextBelow(4097)));
+  }
+  for (size_t length : lengths) {
+    // Room for the message at every start offset 0..15.
+    Bytes storage;
+    rng.NextBytes(&storage, length + 16);
+    const ByteView message = ByteView(storage).subview(0, length);
+    const std::string want =
+        KernelDigestHex(Sha1Kernel::kPortable, message, 0);
+    for (size_t split = 0; split <= length; ++split) {
+      ASSERT_EQ(KernelDigestHex(Sha1Kernel::kShaNi, message, split), want)
+          << "length " << length << " split " << split;
+    }
+    for (size_t offset = 1; offset < 16; ++offset) {
+      const ByteView shifted = ByteView(storage).subview(offset, length);
+      ASSERT_EQ(KernelDigestHex(Sha1Kernel::kShaNi, shifted, length / 2),
+                KernelDigestHex(Sha1Kernel::kPortable, shifted, 0))
+          << "length " << length << " offset " << offset;
+    }
+  }
+}
+
+TEST(Sha1KernelSelectionTest, PicksTheFastestSupportedKernelAndPublishesIt) {
+  const Sha1Kernel selected = SelectedSha1Kernel();
+  EXPECT_TRUE(Sha1KernelSupported(selected));
+  EXPECT_EQ(selected, Sha1KernelSupported(Sha1Kernel::kShaNi)
+                          ? Sha1Kernel::kShaNi
+                          : Sha1Kernel::kPortable);
+  EXPECT_EQ(SelectedSha1Kernel(), selected) << "selection is fixed";
+  EXPECT_EQ(observability::GlobalMetrics()
+                .gauge("crypto.hash.sha1_kernel")
+                ->value(),
+            static_cast<int64_t>(selected));
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "observability/metrics.h"
 #include "provenance/tracked_database.h"
 #include "testing/test_pki.h"
 
@@ -227,6 +232,85 @@ TEST_F(VerifierTest, DagBundleRoundTripThroughWireVerifies) {
   ASSERT_TRUE(received.ok());
   VerificationReport report = Verify(*received);
   EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+uint64_t MontgomeryContextCount() {
+  return observability::GlobalMetrics()
+      .counter("crypto.bignum.montgomery_contexts")
+      ->value();
+}
+
+// A quiesced store read through a snapshot with no epoch pin: nothing
+// mutates `db` while the snapshot lives.
+StoreSnapshot SnapshotOf(const TrackedDatabase& db) {
+  std::vector<StoreReadView> views;
+  views.push_back(db.provenance().CurrentView());
+  return StoreSnapshot(EpochDomain::Guard(), std::move(views));
+}
+
+// A run derives one Montgomery context per participant whose records it
+// checks — not one per chain or per record — whether chains are checked
+// in order or fanned out over a pool.
+TEST_F(VerifierTest, OneMontgomeryContextPerParticipantPerRun) {
+  constexpr size_t kSigners = 3;  // of the registry's 4 participants
+  TrackedDatabase db;
+  for (int i = 0; i < 40; ++i) {
+    const auto& signer = TestPki::Instance().participant(i % kSigners);
+    auto object = db.Insert(signer, Value::Int(i));
+    ASSERT_TRUE(object.ok());
+    for (int u = 0; u < i % 4; ++u) {
+      const auto& updater =
+          TestPki::Instance().participant((i + u + 1) % kSigners);
+      ASSERT_TRUE(db.Update(updater, *object, Value::Int(100 * i + u)).ok());
+    }
+  }
+  const StoreSnapshot snapshot = SnapshotOf(db);
+  const uint64_t records = db.provenance().record_count();
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ProvenanceVerifier verifier(&TestPki::Instance().registry(),
+                                crypto::HashAlgorithm::kSha1,
+                                ParallelismConfig{threads});
+    const uint64_t before = MontgomeryContextCount();
+    VerificationReport report = verifier.VerifyStore(snapshot);
+    EXPECT_EQ(MontgomeryContextCount() - before, kSigners);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+    EXPECT_EQ(report.records_checked, records);
+    EXPECT_EQ(report.signatures_verified, records);
+  }
+
+  // Only participants 1 and 2 registered: participant 3's records each
+  // report exactly one kUnknownParticipant, with the usual message, and
+  // the run derives contexts for the two registered signers alone.
+  crypto::ParticipantRegistry partial(TestPki::Instance().ca().public_key());
+  ASSERT_TRUE(partial.Register(p1().certificate()).ok());
+  ASSERT_TRUE(partial.Register(p2().certificate()).ok());
+  const crypto::ParticipantId unknown =
+      TestPki::Instance().participant(2).id();
+  uint64_t unknown_records = 0;
+  for (uint64_t i = 0; i < records; ++i) {
+    if (db.provenance().record(i).participant == unknown) ++unknown_records;
+  }
+  ASSERT_GT(unknown_records, 0u);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("partial registry, threads=" + std::to_string(threads));
+    ProvenanceVerifier verifier(&partial, crypto::HashAlgorithm::kSha1,
+                                ParallelismConfig{threads});
+    const uint64_t before = MontgomeryContextCount();
+    VerificationReport report = verifier.VerifyStore(snapshot);
+    EXPECT_EQ(MontgomeryContextCount() - before, 2u);
+    EXPECT_EQ(report.signatures_verified, records - unknown_records);
+    ASSERT_EQ(report.issues.size(), unknown_records) << report.ToString();
+    std::set<std::pair<ObjectId, SeqId>> flagged;
+    for (const VerificationIssue& issue : report.issues) {
+      EXPECT_EQ(issue.kind, IssueKind::kUnknownParticipant);
+      EXPECT_EQ(issue.message, "participant " + std::to_string(unknown) +
+                                   " has no CA-endorsed certificate");
+      flagged.emplace(issue.object, issue.seq_id);
+    }
+    EXPECT_EQ(flagged.size(), unknown_records) << "one issue per record";
+  }
 }
 
 }  // namespace

@@ -49,7 +49,10 @@
 #                  combination plus the default), run the full crypto
 #                  suite, the randomized kernel cross-checks, and the
 #                  golden-digest corpus — byte-identical signatures under
-#                  every kernel, with no UB executed (docs/CRYPTO.md)
+#                  every kernel, with no UB executed (docs/CRYPTO.md);
+#                  also the hash and CRC-32 kernel tests (each SHA-1
+#                  kernel on the FIPS vectors and cross-checked against
+#                  the portable one; slice-by-8 against a bytewise CRC)
 #   asan           ASan+UBSan over the wire-format decoder fuzz tests
 #   ubsan          strict UBSan (PROVDB_SANITIZE=undefined,
 #                  -fno-sanitize-recover) over the full release-test
@@ -251,7 +254,7 @@ stage_crypto() {
     -DPROVDB_BUILD_EXAMPLES=OFF
   run cmake --build "$OUT/ubsan" -j "$JOBS" \
     --target crypto_test crypto_kernel_differential_test \
-    provenance_core_test
+    provenance_core_test common_test
   for SPEC in schoolbook+binary schoolbook+window5 karatsuba+binary \
       karatsuba+window4 karatsuba+window5 default; do
     echo "==> crypto: PROVDB_BIGNUM_KERNEL=$SPEC"
@@ -262,6 +265,12 @@ stage_crypto() {
       "$OUT/ubsan/tests/provenance_core_test" \
       --gtest_filter='GoldenDigestTest.*'
   done
+  # crypto_test above carries the SHA-1 kernel tests (each kernel this CPU
+  # can run on the FIPS vectors; SHA-NI against portable under every
+  # split); common_test carries slice-by-8 CRC-32 against a bytewise
+  # reference.
+  echo "==> crypto: CRC-32"
+  run "$OUT/ubsan/tests/common_test" --gtest_filter='Crc32Test.*'
 }
 
 stage_asan() {
