@@ -98,11 +98,10 @@ int Run(const Flags& flags) {
               setup.ElapsedSeconds());
 
   // Per-object chains, exactly as the auditor groups them.
-  std::map<ObjectId, std::vector<const ProvenanceRecord*>> chains;
-  for (uint64_t i = 0; i < db.provenance().record_count(); ++i) {
-    const ProvenanceRecord& rec = db.provenance().record(i);
-    chains[rec.output.object_id].push_back(&rec);
-  }
+  const provenance::StoreSnapshot snapshot =
+      db.provenance().QuiescentSnapshot();
+  const std::map<ObjectId, std::vector<const ProvenanceRecord*>> chains =
+      snapshot.AllChains();
   std::printf("%zu independent chains\n", chains.size());
   const provenance::ChecksumEngine engine;
 
@@ -146,7 +145,7 @@ int Run(const Flags& flags) {
     for (int r = 0; r < runs; ++r) {
       Stopwatch timer;
       provenance::VerificationReport report =
-          auditor.Audit(db.provenance(), db.tree());
+          auditor.Audit(snapshot, db.tree());
       result.stats.Add(timer.ElapsedSeconds());
       result.report = report.ToString();
     }

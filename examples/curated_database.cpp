@@ -1,20 +1,22 @@
 // Curated scientific database example: transactional *complex operations*
 // (§4.4), Basic vs Economical hashing metrics (§4.3), and durable
-// provenance — saving the record store with its checksums to disk,
-// reloading it, and verifying after the round trip.
+// provenance — sealing the record store with its checksums into a signed
+// checkpoint on disk, recovering it, and verifying after the round trip.
 //
 // Models a small curated genome-annotation table maintained by two
 // curators over several editing sessions, the usage pattern §4.4's
 // transactional-storage idea comes from (Buneman et al.).
 
 #include <cstdio>
+#include <filesystem>
 
 #include "common/rng.h"
 #include "crypto/pki.h"
+#include "crypto/signer.h"
 #include "example_util.h"
 #include "provenance/tracked_database.h"
 #include "provenance/verifier.h"
-#include "storage/record_log.h"
+#include "storage/wal.h"
 
 using namespace provdb;
 
@@ -91,21 +93,32 @@ int main() {
               static_cast<unsigned long long>(db.last_op_metrics().checksums));
 
   // --- Durable provenance -------------------------------------------------
-  // The provenance database persists as a CRC-framed record log.
-  const std::string log_path = "/tmp/provdb_curated_example.log";
-  storage::RecordLog log;
-  examples::OrDie(db.provenance().SaveToLog(&log));
-  examples::OrDie(log.SaveToFile(log_path));
-  std::printf("persisted %llu provenance records (%llu bytes framed) "
-              "to %s\n",
-              static_cast<unsigned long long>(log.record_count()),
-              static_cast<unsigned long long>(log.total_frame_bytes()),
-              log_path.c_str());
+  // The provenance database persists as WAL segments plus sealed
+  // checkpoints: attaching a WAL logs the existing records, and a
+  // checkpoint seals them into one signed snapshot file.
+  const std::filesystem::path wal_dir =
+      std::filesystem::temp_directory_path() / "provdb_curated_example";
+  std::error_code ec;
+  std::filesystem::remove_all(wal_dir, ec);
+  auto wal = storage::WalWriter::Open(storage::Env::Default(),
+                                      wal_dir.string())
+                 .value();
+  examples::OrDie(db.AttachWal(&wal));
+  examples::OrDie(db.CheckpointWal(ada.signer(), ada.id()));
+  db.mutable_provenance()->DetachWal();
+  std::printf("sealed %llu provenance records into a checkpoint "
+              "signed by ada under %s\n",
+              static_cast<unsigned long long>(
+                  db.provenance().live_record_count()),
+              wal_dir.c_str());
 
-  auto reloaded_log = storage::RecordLog::LoadFromFile(log_path).value();
-  auto reloaded = provenance::ProvenanceStore::LoadFromLog(reloaded_log)
+  // Recovery refuses the checkpoint unless its seal verifies.
+  crypto::RsaSignatureVerifier seal_verifier(ada.public_key());
+  auto reloaded = provenance::ProvenanceStore::RecoverFromWal(
+                      storage::Env::Default(), wal_dir.string(), nullptr,
+                      &seal_verifier)
                       .value();
-  std::printf("reloaded store: %llu records, paper-schema footprint "
+  std::printf("recovered store: %llu records, paper-schema footprint "
               "%.1f KB\n\n",
               static_cast<unsigned long long>(reloaded.record_count()),
               reloaded.PaperSchemaBytes() / 1024.0);
@@ -128,6 +141,6 @@ int main() {
               "session that touched it)\n",
               brca2_chain.size());
 
-  std::remove(log_path.c_str());
+  std::filesystem::remove_all(wal_dir, ec);
   return report.ok() ? 0 : 1;
 }

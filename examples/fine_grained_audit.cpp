@@ -96,16 +96,17 @@ int main() {
               lie.ok() ? "ACCEPTED (!!)" : "REJECTED");
 
   // --- Lineage queries over the verified history -------------------------
-  auto summary =
-      provenance::SummarizeLineage(db.provenance(), table).value();
+  // A quiescent store is read through its one-view snapshot.
+  const provenance::StoreSnapshot history = db.provenance().QuiescentSnapshot();
+  auto summary = provenance::SummarizeLineage(history, table).value();
   std::printf("table lineage: %s\n", summary.ToString().c_str());
   bool curator_touched =
-      provenance::ParticipantTouched(db.provenance(), table, curator.id())
+      provenance::ParticipantTouched(history, table, curator.id())
           .value();
   std::printf("did the curator ever touch this table? %s\n",
               curator_touched ? "yes" : "no");
   auto cell_history =
-      provenance::HistorySlice(db.provenance(), target_cell, 0, 100).value();
+      provenance::HistorySlice(history, target_cell, 0, 100).value();
   std::printf("the corrected cell has %zu records (insert by owner, update "
               "by curator)\n",
               cell_history.size());

@@ -221,29 +221,15 @@ uint64_t ShardedProvenanceStore::live_record_count() const {
 std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
 ShardedProvenanceStore::AllChains() const {
   std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> chains;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const ProvenanceStore& shard = shards_[s];
-    // Index order within a shard is seqID order per object (AddRecord
-    // enforces it), so each chain comes out already sorted.
-    for (uint64_t i = 0; i < shard.record_count(); ++i) {
-      if (shard.is_pruned(i)) continue;
-      const ProvenanceRecord& rec = shard.record(i);
-      chains[rec.output.object_id].push_back(&rec);
-    }
+  for (const ProvenanceStore& shard : shards_) {
+    shard.CurrentView().AppendChains(&chains);
   }
   return chains;
 }
 
 std::vector<const ProvenanceRecord*> ShardedProvenanceStore::ChainRecords(
     storage::ObjectId id) const {
-  const ProvenanceStore& shard = shards_[ShardOf(id, shards_.size())];
-  std::vector<const ProvenanceRecord*> out;
-  for (uint64_t index : shard.ChainOf(id)) {
-    if (!shard.is_pruned(index)) {
-      out.push_back(&shard.record(index));
-    }
-  }
-  return out;
+  return shards_[ShardOf(id, shards_.size())].CurrentView().ChainRecords(id);
 }
 
 VerificationReport ShardedProvenanceStore::VerifyChains(
@@ -253,17 +239,6 @@ VerificationReport ShardedProvenanceStore::VerifyChains(
   VerificationReport report;
   VerifyRecordChains(registry, engine, AllChains(), &report, pool);
   return report;
-}
-
-Result<ProvenanceStore> ShardedProvenanceStore::MergedStore() const {
-  ProvenanceStore merged;
-  const auto chains = AllChains();
-  for (auto it = chains.begin(); it != chains.end(); ++it) {
-    for (const ProvenanceRecord* rec : it->second) {
-      PROVDB_RETURN_IF_ERROR(merged.AddRecord(*rec).status());
-    }
-  }
-  return merged;
 }
 
 // ---------------------------------------------------------------------------

@@ -112,7 +112,9 @@ class ShardedProvenanceStore {
   /// Every live chain across all shards, keyed (hence ordered) by object
   /// id — the exact shape VerifyRecordChains consumes. Chain order within
   /// an object is seqID order regardless of shard count, so downstream
-  /// reports are byte-identical to a sequential store's.
+  /// reports are byte-identical to a sequential store's. Walks each
+  /// shard's CurrentView() trie, so — like ChainRecords — it needs the
+  /// writer quiescent; live readers use OpenSnapshot().
   std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>>
   AllChains() const;
 
@@ -127,12 +129,6 @@ class ShardedProvenanceStore {
       const crypto::ParticipantRegistry& registry,
       crypto::HashAlgorithm alg = crypto::HashAlgorithm::kSha1,
       ThreadPool* pool = nullptr) const;
-
-  /// Flattens all shards into one sequential ProvenanceStore (records in
-  /// ascending object-id, then seqID order — the shard-stable canonical
-  /// order), so StoreAuditor and the extraction/bundle machinery run
-  /// unchanged over a sharded deployment.
-  Result<ProvenanceStore> MergedStore() const;
 
   /// Pins the epoch domain and captures each shard's latest published
   /// version: a consistent cross-shard cut at batch boundaries,

@@ -1,7 +1,6 @@
 #include "provenance/provenance_store.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/varint.h"
 #include "provenance/checkpoint.h"
@@ -17,7 +16,7 @@ ProvenanceStore::ProvenanceStore(ProvenanceStore&& other) noexcept {
 
 // Moves are writer-side operations: they require quiescence on both
 // stores (no pinned reader may hold either store's versions), which
-// every caller — recovery, LoadFromLog, test plumbing — satisfies.
+// every caller — recovery, checkpoint loading, test plumbing — satisfies.
 ProvenanceStore& ProvenanceStore::operator=(ProvenanceStore&& other) noexcept {
   if (this == &other) {
     return *this;
@@ -246,127 +245,27 @@ Result<const ProvenanceRecord*> ProvenanceStore::LatestFor(
   return head->record;
 }
 
-namespace {
-
-/// Work item of the DAG closure: include an object's chain up to and
-/// including `end_pos`.
-struct Prefix {
-  storage::ObjectId object;
-  size_t end_pos;
-};
-
-}  // namespace
-
-std::vector<ProvenanceRecord> ProvenanceStore::CollectClosure(
-    std::vector<std::pair<storage::ObjectId, size_t>> seeds) const {
-  std::set<uint64_t> included;
-  std::vector<Prefix> work;
-  for (const auto& [object, end_pos] : seeds) {
-    work.push_back({object, end_pos});
-  }
-
-  while (!work.empty()) {
-    Prefix prefix = work.back();
-    work.pop_back();
-    const std::vector<uint64_t> chain = ChainOf(prefix.object);
-    if (chain.empty()) {
-      continue;  // untracked input (bootstrap data): no history to include
-    }
-    for (size_t pos = 0; pos <= prefix.end_pos && pos < chain.size(); ++pos) {
-      uint64_t idx = chain[pos];
-      if (!included.insert(idx).second) {
-        continue;  // already included (shared history via the DAG)
-      }
-      const ProvenanceRecord& rec = record(idx);
-      if (rec.op != OperationType::kAggregate) {
-        continue;
-      }
-      // Follow each aggregation input back to the record that produced
-      // the exact input state (matching output hash), then include that
-      // input's chain up to there.
-      for (const ObjectState& input : rec.inputs) {
-        const std::vector<uint64_t> input_chain = ChainOf(input.object_id);
-        // Scan from the end: the matching record is the latest one whose
-        // output state equals the recorded input state.
-        for (size_t pos2 = input_chain.size(); pos2-- > 0;) {
-          const ProvenanceRecord& cand = record(input_chain[pos2]);
-          if (cand.output.state_hash == input.state_hash &&
-              cand.seq_id < rec.seq_id) {
-            work.push_back({input.object_id, pos2});
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  std::vector<ProvenanceRecord> out;
-  out.reserve(included.size());
-  for (uint64_t idx : included) {  // std::set iterates in ascending order
-    out.push_back(record(idx));
-  }
-  return out;
-}
-
 Result<std::vector<ProvenanceRecord>> ProvenanceStore::ExtractProvenance(
     storage::ObjectId subject) const {
-  const std::vector<uint64_t> subject_chain = ChainOf(subject);
-  if (subject_chain.empty()) {
-    return Status::NotFound("no provenance records for object " +
-                            std::to_string(subject));
-  }
-  return CollectClosure({{subject, subject_chain.size() - 1}});
+  return ExtractProvenanceDeep(subject, {});
 }
 
 Result<std::vector<ProvenanceRecord>> ProvenanceStore::ExtractProvenanceDeep(
     storage::ObjectId subject,
     const std::vector<storage::ObjectId>& descendants) const {
-  const std::vector<uint64_t> subject_chain = ChainOf(subject);
-  if (subject_chain.empty()) {
-    return Status::NotFound("no provenance records for object " +
-                            std::to_string(subject));
+  PROVDB_ASSIGN_OR_RETURN(
+      std::vector<const ChainNode*> cells,
+      QuiescentSnapshot().ClosureCells(subject, descendants));
+  std::sort(cells.begin(), cells.end(),
+            [](const ChainNode* a, const ChainNode* b) {
+              return a->index < b->index;
+            });
+  std::vector<ProvenanceRecord> out;
+  out.reserve(cells.size());
+  for (const ChainNode* cell : cells) {
+    out.push_back(*cell->record);
   }
-  std::vector<std::pair<storage::ObjectId, size_t>> seeds;
-  seeds.emplace_back(subject, subject_chain.size() - 1);
-  for (storage::ObjectId descendant : descendants) {
-    const std::vector<uint64_t> chain = ChainOf(descendant);
-    if (!chain.empty()) {
-      seeds.emplace_back(descendant, chain.size() - 1);
-    }
-  }
-  return CollectClosure(std::move(seeds));
-}
-
-uint64_t ProvenanceStore::SerializedBytes() const {
-  uint64_t total = 0;
-  for (uint64_t i = 0; i < record_count_; ++i) {
-    if (!pruned_[i]) {
-      total += EncodeRecord(record(i)).size();
-    }
-  }
-  return total;
-}
-
-Status ProvenanceStore::SaveToLog(storage::RecordLog* log) const {
-  for (uint64_t i = 0; i < record_count_; ++i) {
-    if (!pruned_[i]) {
-      PROVDB_RETURN_IF_ERROR(log->Append(EncodeRecord(record(i))).status());
-    }
-  }
-  return Status::OK();
-}
-
-Result<ProvenanceStore> ProvenanceStore::LoadFromLog(
-    const storage::RecordLog& log) {
-  ProvenanceStore store;
-  Status status = log.ForEach([&](uint64_t, ByteView payload) {
-    PROVDB_ASSIGN_OR_RETURN(ProvenanceRecord rec, DecodeRecord(payload));
-    return store.AddRecord(std::move(rec)).status();
-  });
-  if (!status.ok()) {
-    return status;
-  }
-  return store;
+  return out;
 }
 
 Status ProvenanceStore::AttachWal(storage::WalWriter* wal,
@@ -421,9 +320,8 @@ Result<ProvenanceStore> ProvenanceStore::RecoverFromWal(
     report->checkpoint_horizon = reader_options.checkpoint_horizon;
     report->checkpoint_records = checkpoint_records;
   }
-  // Replay typed WAL entries (not LoadFromLog, whose snapshot files carry
-  // bare records): appends re-add, prune markers re-prune, so the
-  // recovered store converges to the pre-crash state instead of
+  // Replay typed WAL entries: appends re-add, prune markers re-prune, so
+  // the recovered store converges to the pre-crash state instead of
   // resurrecting pruned history.
   Status status = reader.log().ForEach([&](uint64_t, ByteView payload) {
     if (payload.empty()) {

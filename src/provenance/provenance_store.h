@@ -13,7 +13,6 @@
 #include "provenance/chain_index.h"
 #include "provenance/record.h"
 #include "provenance/snapshot.h"
-#include "storage/record_log.h"
 #include "storage/wal.h"
 
 namespace provdb::crypto {
@@ -75,8 +74,10 @@ class ProvenanceStore {
 
   /// Materializes the provenance object for `subject`: its full chain plus,
   /// transitively, the chains (up to the matching state) of every
-  /// aggregation input. Records are returned in index order, which is a
-  /// linear extension of the seqID partial order.
+  /// aggregation input — StoreSnapshot::ClosureCells over the quiescent
+  /// snapshot. Records are returned in index order, which is a linear
+  /// extension of the seqID partial order (and the order recipient
+  /// bundles are encoded in).
   Result<std::vector<ProvenanceRecord>> ExtractProvenance(
       storage::ObjectId subject) const;
 
@@ -96,18 +97,6 @@ class ProvenanceStore {
 
   /// Total bytes of the stored checksums alone.
   uint64_t ChecksumBytes() const { return checksum_bytes_; }
-
-  /// Size of the full serialized records (hashes, snapshots, framing
-  /// excluded) — what RecordLog persistence would store.
-  uint64_t SerializedBytes() const;
-
-  /// Persists all live records into `log` (EncodeRecord payloads).
-  /// Compatibility shim for snapshot-style persistence; incremental
-  /// durability goes through AttachWal / RecoverFromWal.
-  Status SaveToLog(storage::RecordLog* log) const;
-
-  /// Rebuilds a store from a record log.
-  static Result<ProvenanceStore> LoadFromLog(const storage::RecordLog& log);
 
   /// Write-ahead logging: after this, every AddRecord (and PruneObject)
   /// first appends a typed WAL entry — record append or prune marker,
@@ -188,11 +177,19 @@ class ProvenanceStore {
   /// View of the *writer-current* state (which may be ahead of the last
   /// published version). Only valid under the single-writer contract:
   /// the caller must guarantee no concurrent mutation for the view's
-  /// lifetime — the quiescent entry points (StoreAuditor::Audit over a
-  /// bare store, SaveToLog, ...) run on exactly that contract.
+  /// lifetime — QuiescentSnapshot, ShardedProvenanceStore::AllChains and
+  /// TrackedDatabase::CheckpointWal run on exactly that contract.
   StoreReadView CurrentView() const {
     return StoreReadView(chain_root_, record_count_, live_count_,
                          publish_tick_);
+  }
+
+  /// The store's one read interface: an unpinned one-view snapshot of
+  /// CurrentView(), so queries, audits and extraction over a quiescent
+  /// store run the same code as over a live sharded one. Same contract as
+  /// CurrentView(): no concurrent mutation while the snapshot is read.
+  StoreSnapshot QuiescentSnapshot() const {
+    return StoreSnapshot(EpochDomain::Guard(), {CurrentView()});
   }
 
  private:
@@ -203,12 +200,6 @@ class ProvenanceStore {
   struct Chunk {
     std::array<ProvenanceRecord, kChunkRecords> slots;
   };
-
-  /// Shared DAG-closure walk behind both Extract variants: includes each
-  /// seed object's chain up to the given position, following aggregation
-  /// edges transitively.
-  std::vector<ProvenanceRecord> CollectClosure(
-      std::vector<std::pair<storage::ObjectId, size_t>> seeds) const;
 
   /// Appends into chunked storage; returns the record's stable address.
   ProvenanceRecord* ArenaAppend(ProvenanceRecord record);

@@ -49,29 +49,11 @@ LineageSummary SummarizeRecords(const std::vector<ProvenanceRecord>& records,
 
 }  // namespace
 
-Result<LineageSummary> SummarizeLineage(const ProvenanceStore& store,
-                                        storage::ObjectId subject) {
-  PROVDB_ASSIGN_OR_RETURN(std::vector<ProvenanceRecord> records,
-                          store.ExtractProvenance(subject));
-  return SummarizeRecords(records, subject);
-}
-
 Result<LineageSummary> SummarizeLineage(const StoreSnapshot& snapshot,
                                         storage::ObjectId subject) {
   PROVDB_ASSIGN_OR_RETURN(std::vector<ProvenanceRecord> records,
                           snapshot.ExtractProvenance(subject));
   return SummarizeRecords(records, subject);
-}
-
-std::vector<uint64_t> RecordsByParticipant(const ProvenanceStore& store,
-                                           crypto::ParticipantId participant) {
-  std::vector<uint64_t> out;
-  for (uint64_t i = 0; i < store.record_count(); ++i) {
-    if (!store.is_pruned(i) && store.record(i).participant == participant) {
-      out.push_back(i);
-    }
-  }
-  return out;
 }
 
 std::vector<const ProvenanceRecord*> RecordsByParticipant(
@@ -90,19 +72,6 @@ std::vector<const ProvenanceRecord*> RecordsByParticipant(
   return out;
 }
 
-Result<bool> ParticipantTouched(const ProvenanceStore& store,
-                                storage::ObjectId subject,
-                                crypto::ParticipantId participant) {
-  PROVDB_ASSIGN_OR_RETURN(std::vector<ProvenanceRecord> records,
-                          store.ExtractProvenance(subject));
-  for (const ProvenanceRecord& rec : records) {
-    if (rec.participant == participant) {
-      return true;
-    }
-  }
-  return false;
-}
-
 Result<bool> ParticipantTouched(const StoreSnapshot& snapshot,
                                 storage::ObjectId subject,
                                 crypto::ParticipantId participant) {
@@ -114,27 +83,6 @@ Result<bool> ParticipantTouched(const StoreSnapshot& snapshot,
     }
   }
   return false;
-}
-
-Result<std::vector<ProvenanceRecord>> HistorySlice(
-    const ProvenanceStore& store, storage::ObjectId subject, SeqId from_seq,
-    SeqId to_seq) {
-  if (from_seq > to_seq) {
-    return Status::InvalidArgument("from_seq must be <= to_seq");
-  }
-  std::vector<uint64_t> chain = store.ChainOf(subject);
-  if (chain.empty()) {
-    return Status::NotFound("no provenance records for object " +
-                            std::to_string(subject));
-  }
-  std::vector<ProvenanceRecord> out;
-  for (uint64_t index : chain) {
-    const ProvenanceRecord& rec = store.record(index);
-    if (rec.seq_id >= from_seq && rec.seq_id <= to_seq) {
-      out.push_back(rec);
-    }
-  }
-  return out;
 }
 
 Result<std::vector<ProvenanceRecord>> HistorySlice(
@@ -155,20 +103,6 @@ Result<std::vector<ProvenanceRecord>> HistorySlice(
     }
   }
   return out;
-}
-
-Result<std::vector<ObjectState>> DirectSources(const ProvenanceStore& store,
-                                               storage::ObjectId subject) {
-  std::vector<uint64_t> chain = store.ChainOf(subject);
-  if (chain.empty()) {
-    return Status::NotFound("no provenance records for object " +
-                            std::to_string(subject));
-  }
-  const ProvenanceRecord& first = store.record(chain.front());
-  if (first.op != OperationType::kAggregate) {
-    return std::vector<ObjectState>{};
-  }
-  return first.inputs;
 }
 
 Result<std::vector<ObjectState>> DirectSources(const StoreSnapshot& snapshot,

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "crypto/pki.h"
-#include "provenance/provenance_store.h"
 #include "provenance/record.h"
 #include "provenance/snapshot.h"
 
@@ -34,34 +33,23 @@ struct LineageSummary {
   std::string ToString() const;
 };
 
+// Every helper reads a StoreSnapshot: a pinned, immutable batch-boundary
+// cut of a live sharded store (IngestPipeline::OpenSnapshot), which never
+// races the writer, or the one-view snapshot of a quiescent store
+// (ProvenanceStore::QuiescentSnapshot) — see DESIGN.md §16.
+
 /// Summarizes the full (transitive) history of `subject`.
-///
-/// The ProvenanceStore overloads below require a quiescent store (no
-/// concurrent mutation for the call's duration — the store is
-/// single-writer and these read its writer-current state). To query
-/// while ingest is live, open a StoreSnapshot and use the snapshot
-/// overloads: they read a pinned, immutable batch-boundary cut and
-/// never race the writer (DESIGN.md §16).
-Result<LineageSummary> SummarizeLineage(const ProvenanceStore& store,
-                                        storage::ObjectId subject);
 Result<LineageSummary> SummarizeLineage(const StoreSnapshot& snapshot,
                                         storage::ObjectId subject);
 
-/// Record indices (into `store`) signed by `participant`, in store order.
-std::vector<uint64_t> RecordsByParticipant(const ProvenanceStore& store,
-                                           crypto::ParticipantId participant);
-
-/// Snapshot variant: the records themselves (indices are per-shard in a
-/// sharded deployment), in ascending (object id, seqID) order. Pointers
-/// are valid while the snapshot is held.
+/// The records signed by `participant`, in ascending (object id, seqID)
+/// order. Pointers are valid while the snapshot (and, for a quiescent
+/// snapshot, the store) is held.
 std::vector<const ProvenanceRecord*> RecordsByParticipant(
     const StoreSnapshot& snapshot, crypto::ParticipantId participant);
 
 /// True iff `participant` signed any record in `subject`'s transitive
 /// history — e.g. "did PCP Pamela ever touch this submission?".
-Result<bool> ParticipantTouched(const ProvenanceStore& store,
-                                storage::ObjectId subject,
-                                crypto::ParticipantId participant);
 Result<bool> ParticipantTouched(const StoreSnapshot& snapshot,
                                 storage::ObjectId subject,
                                 crypto::ParticipantId participant);
@@ -69,16 +57,11 @@ Result<bool> ParticipantTouched(const StoreSnapshot& snapshot,
 /// The slice of `subject`'s own chain with from_seq <= seqID <= to_seq
 /// (record copies, in seq order). Does not follow aggregation edges.
 Result<std::vector<ProvenanceRecord>> HistorySlice(
-    const ProvenanceStore& store, storage::ObjectId subject, SeqId from_seq,
-    SeqId to_seq);
-Result<std::vector<ProvenanceRecord>> HistorySlice(
     const StoreSnapshot& snapshot, storage::ObjectId subject, SeqId from_seq,
     SeqId to_seq);
 
 /// The direct aggregation inputs of `subject` (empty when the subject was
 /// not produced by an aggregation).
-Result<std::vector<ObjectState>> DirectSources(const ProvenanceStore& store,
-                                               storage::ObjectId subject);
 Result<std::vector<ObjectState>> DirectSources(const StoreSnapshot& snapshot,
                                                storage::ObjectId subject);
 

@@ -7,9 +7,10 @@
 
 namespace provdb::provenance {
 
-/// Binary wire encoding of a provenance record. Used for persistence in
-/// the RecordLog and for shipping recipient bundles. The format is
-/// versioned with a leading tag byte so it can evolve.
+/// Binary wire encoding of a provenance record. Used for persistence (WAL
+/// record entries and sealed checkpoints) and for shipping recipient
+/// bundles. The format is versioned with a leading tag byte so it can
+/// evolve.
 Bytes EncodeRecord(const ProvenanceRecord& record);
 
 /// Parses a record written by EncodeRecord.
@@ -19,7 +20,6 @@ Result<ProvenanceRecord> DecodeRecord(ByteView data);
 /// bare records: prunes must reach the log too, or crash recovery would
 /// replay the appends and resurrect pruned history. Every WAL payload is
 /// therefore one entry — a leading type byte, then a type-specific body.
-/// (Snapshot RecordLog files keep carrying bare EncodeRecord payloads.)
 enum class WalEntryType : uint8_t {
   kRecord = 1,  // body: EncodeRecord bytes
   kPrune = 2,   // body: varint object id

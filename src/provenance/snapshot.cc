@@ -78,52 +78,79 @@ std::vector<const ProvenanceRecord*> StoreSnapshot::ChainRecords(
 namespace {
 
 /// Work item of the DAG closure: include an object's chain up to and
-/// including `end_pos` (mirrors ProvenanceStore::CollectClosure).
+/// including `end_pos`.
 struct Prefix {
   storage::ObjectId object;
   size_t end_pos;
 };
 
+/// Reverses a cons list into seqID (ascending) order of cells.
+std::vector<const ChainNode*> ChainCells(const ChainNode* head) {
+  if (head == nullptr) {
+    return {};
+  }
+  std::vector<const ChainNode*> out(static_cast<size_t>(head->length));
+  size_t pos = out.size();
+  for (const ChainNode* cell = head; cell != nullptr; cell = cell->prev) {
+    out[--pos] = cell;
+  }
+  return out;
+}
+
 }  // namespace
 
-std::vector<ProvenanceRecord> StoreSnapshot::CollectClosure(
-    std::vector<std::pair<storage::ObjectId, size_t>> seeds) const {
-  std::map<storage::ObjectId, std::vector<const ProvenanceRecord*>> cache;
+Result<std::vector<const ChainNode*>> StoreSnapshot::ClosureCells(
+    storage::ObjectId subject,
+    const std::vector<storage::ObjectId>& descendants) const {
+  std::map<storage::ObjectId, std::vector<const ChainNode*>> cache;
   auto chain_of = [&](storage::ObjectId id)
-      -> const std::vector<const ProvenanceRecord*>& {
+      -> const std::vector<const ChainNode*>& {
     auto it = cache.find(id);
     if (it == cache.end()) {
-      it = cache.emplace(id, ChainRecords(id)).first;
+      const ChainNode* head =
+          views_.empty() ? nullptr : view_for(id).head_for(id);
+      it = cache.emplace(id, ChainCells(head)).first;
     }
     return it->second;
   };
 
-  std::set<const ProvenanceRecord*> included;
+  const size_t subject_length = chain_of(subject).size();
+  if (subject_length == 0) {
+    return Status::NotFound("no provenance records for object " +
+                            std::to_string(subject));
+  }
   std::vector<Prefix> work;
-  for (const auto& [object, end_pos] : seeds) {
-    work.push_back({object, end_pos});
+  work.push_back({subject, subject_length - 1});
+  for (storage::ObjectId descendant : descendants) {
+    const size_t length = chain_of(descendant).size();
+    if (length > 0) {
+      work.push_back({descendant, length - 1});
+    }
   }
 
+  std::set<const ChainNode*> included;
   while (!work.empty()) {
     Prefix prefix = work.back();
     work.pop_back();
-    const std::vector<const ProvenanceRecord*>& chain =
-        chain_of(prefix.object);
+    const std::vector<const ChainNode*>& chain = chain_of(prefix.object);
     for (size_t pos = 0; pos <= prefix.end_pos && pos < chain.size(); ++pos) {
-      const ProvenanceRecord* rec = chain[pos];
-      if (!included.insert(rec).second) {
+      if (!included.insert(chain[pos]).second) {
         continue;  // already included (shared history via the DAG)
       }
+      const ProvenanceRecord* rec = chain[pos]->record;
       if (rec->op != OperationType::kAggregate) {
         continue;
       }
+      // Follow each aggregation input back to the record that produced
+      // the exact input state, then include that input's chain up to
+      // there. Untracked inputs (bootstrap data) have no chain.
       for (const ObjectState& input : rec->inputs) {
-        const std::vector<const ProvenanceRecord*>& input_chain =
+        const std::vector<const ChainNode*>& input_chain =
             chain_of(input.object_id);
         // Scan from the end: the matching record is the latest one whose
         // output state equals the recorded input state.
         for (size_t pos2 = input_chain.size(); pos2-- > 0;) {
-          const ProvenanceRecord* cand = input_chain[pos2];
+          const ProvenanceRecord* cand = input_chain[pos2]->record;
           if (cand->output.state_hash == input.state_hash &&
               cand->seq_id < rec->seq_id) {
             work.push_back({input.object_id, pos2});
@@ -133,53 +160,35 @@ std::vector<ProvenanceRecord> StoreSnapshot::CollectClosure(
       }
     }
   }
-
-  // Ascending (object id, seqID): the canonical cross-shard linear
-  // extension of the seqID partial order (matches MergedStore order).
-  std::vector<const ProvenanceRecord*> ordered(included.begin(),
-                                               included.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const ProvenanceRecord* a, const ProvenanceRecord* b) {
-              if (a->output.object_id != b->output.object_id) {
-                return a->output.object_id < b->output.object_id;
-              }
-              return a->seq_id < b->seq_id;
-            });
-  std::vector<ProvenanceRecord> out;
-  out.reserve(ordered.size());
-  for (const ProvenanceRecord* rec : ordered) {
-    out.push_back(*rec);
-  }
-  return out;
+  return std::vector<const ChainNode*>(included.begin(), included.end());
 }
 
 Result<std::vector<ProvenanceRecord>> StoreSnapshot::ExtractProvenance(
     storage::ObjectId subject) const {
-  std::vector<const ProvenanceRecord*> chain = ChainRecords(subject);
-  if (chain.empty()) {
-    return Status::NotFound("no provenance records for object " +
-                            std::to_string(subject));
-  }
-  return CollectClosure({{subject, chain.size() - 1}});
+  return ExtractProvenanceDeep(subject, {});
 }
 
 Result<std::vector<ProvenanceRecord>> StoreSnapshot::ExtractProvenanceDeep(
     storage::ObjectId subject,
     const std::vector<storage::ObjectId>& descendants) const {
-  std::vector<const ProvenanceRecord*> chain = ChainRecords(subject);
-  if (chain.empty()) {
-    return Status::NotFound("no provenance records for object " +
-                            std::to_string(subject));
+  PROVDB_ASSIGN_OR_RETURN(std::vector<const ChainNode*> cells,
+                          ClosureCells(subject, descendants));
+  // Ascending (object id, seqID): the canonical cross-shard linear
+  // extension of the seqID partial order.
+  std::sort(cells.begin(), cells.end(),
+            [](const ChainNode* a, const ChainNode* b) {
+              if (a->record->output.object_id != b->record->output.object_id) {
+                return a->record->output.object_id <
+                       b->record->output.object_id;
+              }
+              return a->record->seq_id < b->record->seq_id;
+            });
+  std::vector<ProvenanceRecord> out;
+  out.reserve(cells.size());
+  for (const ChainNode* cell : cells) {
+    out.push_back(*cell->record);
   }
-  std::vector<std::pair<storage::ObjectId, size_t>> seeds;
-  seeds.emplace_back(subject, chain.size() - 1);
-  for (storage::ObjectId descendant : descendants) {
-    std::vector<const ProvenanceRecord*> dchain = ChainRecords(descendant);
-    if (!dchain.empty()) {
-      seeds.emplace_back(descendant, dchain.size() - 1);
-    }
-  }
-  return CollectClosure(std::move(seeds));
+  return out;
 }
 
 }  // namespace provdb::provenance

@@ -105,6 +105,11 @@ class StoreReadView {
 /// ShardedProvenanceStore (or IngestPipeline) it was opened on. Holding
 /// one blocks no writer — it only defers reclamation of superseded
 /// chain/index nodes.
+///
+/// A quiescent single store is read the same way, through an unpinned
+/// one-view snapshot of its writer-current state
+/// (ProvenanceStore::QuiescentSnapshot): every read job — queries, the
+/// auditor, extraction — has exactly one implementation, over this type.
 class StoreSnapshot {
  public:
   StoreSnapshot() = default;
@@ -122,7 +127,8 @@ class StoreSnapshot {
     return static_cast<size_t>(Mix64(id) % views_.size());
   }
 
-  /// The epoch this snapshot is pinned at (0 for an empty snapshot).
+  /// The epoch this snapshot is pinned at (0 when unpinned: an empty or
+  /// a quiescent snapshot).
   uint64_t epoch() const { return guard_.epoch(); }
 
   uint64_t record_count() const;
@@ -139,24 +145,31 @@ class StoreSnapshot {
   std::vector<const ProvenanceRecord*> ChainRecords(storage::ObjectId id)
       const;
 
-  /// Snapshot counterpart of ProvenanceStore::ExtractProvenance: the
-  /// subject's chain plus, transitively, every aggregation input's chain
-  /// up to the matching state. Records come back in ascending
-  /// (object id, seqID) order — the sharded deployment's canonical
-  /// linear extension of the seqID partial order (the order MergedStore
-  /// materializes).
+  /// The provenance object of `subject` (§5.1): its chain plus,
+  /// transitively, every aggregation input's chain up to the matching
+  /// state. Records come back in ascending (object id, seqID) order — the
+  /// sharded deployment's canonical linear extension of the seqID partial
+  /// order.
   Result<std::vector<ProvenanceRecord>> ExtractProvenance(
       storage::ObjectId subject) const;
 
-  /// Snapshot counterpart of ProvenanceStore::ExtractProvenanceDeep.
+  /// Fine-grained variant: also the full chains of `descendants` (every
+  /// object inside a shipped compound object).
   Result<std::vector<ProvenanceRecord>> ExtractProvenanceDeep(
       storage::ObjectId subject,
       const std::vector<storage::ObjectId>& descendants) const;
 
- private:
-  std::vector<ProvenanceRecord> CollectClosure(
-      std::vector<std::pair<storage::ObjectId, size_t>> seeds) const;
+  /// The DAG closure behind every ExtractProvenance: the chain cells of
+  /// the subject's and each descendant's chain plus, following
+  /// aggregation edges transitively, of every input's chain up to the
+  /// record that produced the consumed state. Unordered — each caller
+  /// sorts into the linear extension it publishes. kNotFound when the
+  /// subject has no live chain.
+  Result<std::vector<const ChainNode*>> ClosureCells(
+      storage::ObjectId subject,
+      const std::vector<storage::ObjectId>& descendants) const;
 
+ private:
   EpochDomain::Guard guard_;
   std::vector<StoreReadView> views_;
 };

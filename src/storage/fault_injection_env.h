@@ -25,8 +25,8 @@ namespace provdb::storage {
 ///    the disk image at the crash point.
 ///
 /// Counters expose how many appends / syncs / dir-syncs reached the
-/// underlying Env, so tests can assert sync contracts ("SaveToFile syncs
-/// the file before renaming") rather than trust comments.
+/// underlying Env, so tests can assert sync contracts ("a checkpoint is
+/// synced before it is renamed into place") rather than trust comments.
 ///
 /// Thread-safe: one coarse mutex serializes every operation and all
 /// bookkeeping (it is a test double — fidelity beats parallelism), so it

@@ -1,8 +1,6 @@
 #include "storage/record_log.h"
 
-#include "common/crc32.h"
-#include "common/varint.h"
-#include "storage/env.h"
+#include <string>
 
 namespace provdb::storage {
 
@@ -27,16 +25,6 @@ Result<ByteView> RecordLog::Get(uint64_t index) const {
   return ByteView(arena_.data() + offsets_[index], lengths_[index]);
 }
 
-uint64_t RecordLog::total_frame_bytes() const {
-  uint64_t total = 0;
-  for (uint32_t len : lengths_) {
-    Bytes varint;
-    AppendVarint64(&varint, len);
-    total += varint.size() + len + 4;  // length + payload + crc32
-  }
-  return total;
-}
-
 Status RecordLog::ForEach(
     const std::function<Status(uint64_t, ByteView)>& fn) const {
   for (uint64_t i = 0; i < offsets_.size(); ++i) {
@@ -44,78 +32,6 @@ Status RecordLog::ForEach(
         fn(i, ByteView(arena_.data() + offsets_[i], lengths_[i])));
   }
   return Status::OK();
-}
-
-Status RecordLog::SaveToFile(const std::string& path) const {
-  return SaveToFile(Env::Default(), path);
-}
-
-Status RecordLog::SaveToFile(Env* env, const std::string& path) const {
-  Bytes framed;
-  framed.reserve(total_frame_bytes());
-  for (uint64_t i = 0; i < offsets_.size(); ++i) {
-    ByteView payload(arena_.data() + offsets_[i], lengths_[i]);
-    AppendVarint64(&framed, payload.size());
-    AppendBytes(&framed, payload);
-    AppendFixed32(&framed, Crc32(payload));
-  }
-
-  std::string tmp_path = path + ".tmp";
-  auto file = env->NewWritableFile(tmp_path);
-  if (!file.ok()) {
-    return file.status();
-  }
-  Status write_status = (*file)->Append(framed);
-  if (write_status.ok()) {
-    // The atomic-rename contract is vacuous unless the temp file's
-    // *contents* are on stable storage before the rename publishes it:
-    // otherwise a power cut can leave the new name pointing at torn or
-    // empty data.
-    write_status = (*file)->Sync();
-  }
-  Status close_status = (*file)->Close();
-  if (write_status.ok()) {
-    write_status = close_status;
-  }
-  if (!write_status.ok()) {
-    (void)env->RemoveFile(tmp_path);  // best-effort cleanup
-    return write_status;
-  }
-  // Env::RenameFile fsyncs the parent directory, making the new name
-  // itself durable.
-  Status rename_status = env->RenameFile(tmp_path, path);
-  if (!rename_status.ok()) {
-    (void)env->RemoveFile(tmp_path);
-    return rename_status;
-  }
-  return Status::OK();
-}
-
-Result<RecordLog> RecordLog::LoadFromFile(const std::string& path) {
-  return LoadFromFile(Env::Default(), path);
-}
-
-Result<RecordLog> RecordLog::LoadFromFile(Env* env, const std::string& path) {
-  // Env::ReadFileToBytes surfaces mid-read failures as kIoError; a
-  // failing disk must never yield a short buffer that parses as a valid,
-  // shorter log.
-  PROVDB_ASSIGN_OR_RETURN(Bytes content, env->ReadFileToBytes(path));
-
-  RecordLog log;
-  VarintReader reader(content);
-  while (!reader.done()) {
-    PROVDB_ASSIGN_OR_RETURN(uint64_t len, reader.ReadVarint64());
-    PROVDB_ASSIGN_OR_RETURN(Bytes payload, reader.ReadRaw(len));
-    PROVDB_ASSIGN_OR_RETURN(Bytes crc_raw, reader.ReadRaw(4));
-    uint32_t stored_crc = ReadFixed32(crc_raw, 0);
-    if (stored_crc != Crc32(payload)) {
-      return Status::Corruption("CRC mismatch in record " +
-                                std::to_string(log.record_count()) + " of " +
-                                path);
-    }
-    PROVDB_RETURN_IF_ERROR(log.Append(payload).status());
-  }
-  return log;
 }
 
 }  // namespace provdb::storage

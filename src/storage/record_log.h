@@ -3,23 +3,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
-#include "storage/env.h"
 
 namespace provdb::storage {
 
-/// Append-only log of opaque payloads — the persistence substrate of the
-/// provenance database. The paper stores provenance records in a second
-/// (MySQL) database; this embedded log plays that role.
-///
-/// In memory, payloads live contiguously in an arena. On disk, each record
-/// is framed as `varint(length) || payload || crc32` so corruption —
-/// including the record-tampering attacks of §2.2 — is detected at load
-/// time even before cryptographic verification runs.
+/// In-memory, append-only sequence of opaque payloads stored contiguously
+/// in one arena. WalReader collects a recovered WAL into one (see
+/// WalReader::log()), so replaying thousands of records costs a few
+/// arena growths instead of an allocation per record. Nothing persists a
+/// RecordLog: durability is the WAL's segments plus sealed checkpoints
+/// (DESIGN.md §8, §13).
 class RecordLog {
  public:
   RecordLog() = default;
@@ -30,9 +26,8 @@ class RecordLog {
   RecordLog& operator=(RecordLog&&) = default;
 
   /// Appends a payload; returns its stable record index (0-based).
-  /// Payloads larger than the 32-bit frame length limit are rejected with
-  /// kInvalidArgument (they used to be silently truncated to a corrupt
-  /// frame length).
+  /// Payloads larger than the 32-bit length limit (the WAL frame's) are
+  /// rejected with kInvalidArgument rather than truncated.
   Result<uint64_t> Append(ByteView payload);
 
   /// Number of records in the log.
@@ -41,28 +36,12 @@ class RecordLog {
   /// Payload of record `index`. The view is invalidated by Append.
   Result<ByteView> Get(uint64_t index) const;
 
-  /// Sum of payload sizes (the paper's space-overhead metric counts the
-  /// stored record tuples; framing is excluded).
+  /// Sum of payload sizes.
   uint64_t total_payload_bytes() const { return arena_.size(); }
-
-  /// Bytes the log would occupy on disk, framing included.
-  uint64_t total_frame_bytes() const;
 
   /// Calls `fn(index, payload)` for every record, in append order.
   Status ForEach(
       const std::function<Status(uint64_t, ByteView)>& fn) const;
-
-  /// Writes the framed log to `path` atomically *and durably*: the temp
-  /// file is fsync'd before the rename and the parent directory after, so
-  /// a power cut leaves either the old file or the complete new one —
-  /// never an empty or torn file. `env` defaults to Env::Default().
-  Status SaveToFile(const std::string& path) const;
-  Status SaveToFile(Env* env, const std::string& path) const;
-
-  /// Reads a framed log, validating every CRC. A mid-read I/O failure is
-  /// kIoError — never silently treated as end-of-file.
-  static Result<RecordLog> LoadFromFile(const std::string& path);
-  static Result<RecordLog> LoadFromFile(Env* env, const std::string& path);
 
  private:
   Bytes arena_;

@@ -25,8 +25,9 @@ namespace provdb::storage {
 ///   | varint(len) | payload bytes | crc32(payload)  |   frame, repeated
 ///   +-------------+---------------+-----------------+
 ///
-/// Frames reuse RecordLog's framing so a recovered WAL replays through
-/// the same code path as a snapshot file. A writer never appends to an
+/// Recovery collects the frames' payloads into one contiguous RecordLog
+/// arena (WalReader::log()), so replay allocates nothing per record. A
+/// writer never appends to an
 /// existing segment: each WalWriter::Open starts segment max+1, so the
 /// only file that can legally end mid-frame is the one that was being
 /// appended when the process (or the power) died.
@@ -83,8 +84,8 @@ struct WalOptions {
   uint64_t checkpoint_horizon = 0;
 };
 
-/// Incremental appender. Unlike RecordLog::SaveToFile (which rewrites the
-/// world), WalWriter makes each record durable in O(record) I/O.
+/// Incremental appender: WalWriter makes each record durable in
+/// O(record) I/O.
 ///
 /// Externally synchronized: a WalWriter holds no mutex of its own.
 /// Exactly one owner drives it at a time — in the sharded pipeline that
@@ -254,10 +255,9 @@ class WalReader {
   static Result<WalReader> Open(Env* env, const std::string& dir,
                                 WalReaderOptions options = WalReaderOptions());
 
-  /// The recovered records, in append order, as a RecordLog — so existing
-  /// consumers (ProvenanceStore::LoadFromLog) replay it unchanged.
+  /// The recovered payloads, in append order, in one contiguous arena —
+  /// ProvenanceStore::RecoverFromWal replays them from here.
   const RecordLog& log() const { return log_; }
-  RecordLog&& TakeLog() { return std::move(log_); }
 
   const WalRecoveryReport& report() const { return report_; }
 

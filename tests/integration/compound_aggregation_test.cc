@@ -132,7 +132,8 @@ TEST_F(CompoundAggregationTest, NestedAggregationsOfCompounds) {
   // inherited(cell update) = 4 records of table_b's chain included.
   EXPECT_EQ(table_b_records, 4);
 
-  auto summary = SummarizeLineage(db_.provenance(), *level2);
+  auto summary =
+      SummarizeLineage(db_.provenance().QuiescentSnapshot(), *level2);
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->aggregate_count, 2u);
   EXPECT_EQ(summary->participants.size(), 3u);

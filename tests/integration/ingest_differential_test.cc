@@ -1,11 +1,13 @@
 // Randomized differential test: the same seeded workload driven into a
 // sequential reference ProvenanceStore and into the sharded ingest
 // pipeline at 1/2/8 shards must agree on every per-object chain (byte
-// for byte), every live subtree digest, and every verifier/auditor
-// verdict. Failures log the seed so the exact run can be replayed.
+// for byte), every live subtree digest, every verifier/auditor verdict,
+// and every extraction and query answer. Failures log the seed so the
+// exact run can be replayed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 namespace provdb::provenance {
 namespace {
 
+using provdb::testing::CheckSameReads;
 using provdb::testing::DifferentialWorkloadOptions;
 using provdb::testing::IngestWorkloadBuilder;
 using provdb::testing::RandomDifferentialWorkload;
@@ -100,15 +103,38 @@ void RunDifferential(uint64_t seed, size_t num_shards) {
   EXPECT_EQ(sharded_verify.signatures_verified,
             ref_verify.signatures_verified);
 
-  // (4) Identical audit verdicts against the live tree, via the merged
-  // cross-shard store.
-  auto merged = sharded.MergedStore();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  // (4) Identical audit verdicts against the live tree: the pipeline's
+  // snapshot against the reference store's quiescent snapshot.
+  const StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  const StoreSnapshot ref_snapshot = reference.QuiescentSnapshot();
   StoreAuditor auditor(&builder.registry(), builder.algorithm());
-  VerificationReport audit_sharded = auditor.Audit(*merged, builder.tree());
-  VerificationReport audit_ref = auditor.Audit(reference, builder.tree());
+  VerificationReport audit_sharded = auditor.Audit(snapshot, builder.tree());
+  VerificationReport audit_ref = auditor.Audit(ref_snapshot, builder.tree());
   EXPECT_TRUE(audit_sharded.ok()) << audit_sharded.ToString();
   EXPECT_EQ(audit_sharded.ToString(), audit_ref.ToString());
+
+  // (4b) Identical extraction and query answers for every tracked object.
+  // The reference store's own ExtractProvenance (index order) holds the
+  // same records as the sharded (object id, seqID) order.
+  Status reads = CheckSameReads(snapshot, ref_snapshot,
+                                builder.tracked_objects());
+  EXPECT_TRUE(reads.ok()) << reads.ToString();
+  for (ObjectId id : builder.tracked_objects()) {
+    auto from_shards = snapshot.ExtractProvenance(id);
+    auto from_store = reference.ExtractProvenance(id);
+    ASSERT_TRUE(from_shards.ok()) << from_shards.status().ToString();
+    ASSERT_TRUE(from_store.ok()) << from_store.status().ToString();
+    std::vector<std::string> a, b;
+    for (const ProvenanceRecord& rec : *from_shards) {
+      a.push_back(ByteView(EncodeRecord(rec)).ToString());
+    }
+    for (const ProvenanceRecord& rec : *from_store) {
+      b.push_back(ByteView(EncodeRecord(rec)).ToString());
+    }
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    EXPECT_EQ(a, b) << "extraction of object " << id << " differs";
+  }
 
   // (5) Recovery round-trip: the on-disk WALs rebuild the same store.
   auto recovered =

@@ -60,7 +60,7 @@ bool MutationCaught(const std::vector<ProvenanceRecord>& records,
     if (!store.AddRecord(records[i]).ok()) return true;
   }
   StoreAuditor auditor(&registry, alg);
-  VerificationReport report = auditor.Audit(store, tree);
+  VerificationReport report = auditor.Audit(store.QuiescentSnapshot(), tree);
   return !report.ok();
 }
 
@@ -79,7 +79,7 @@ TEST(IngestTamperMatrixTest, EverySingleFieldMutationIsDetected) {
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
 
   // Canonical flattening of the sharded store (ascending object id,
-  // seqID order) — the same order MergedStore uses.
+  // seqID order) — the order snapshot extraction uses.
   std::vector<ProvenanceRecord> base;
   const auto chains = (*pipeline)->store().AllChains();
   for (auto it = chains.begin(); it != chains.end(); ++it) {

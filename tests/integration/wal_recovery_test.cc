@@ -98,7 +98,7 @@ TEST(WalRecoveryTest, DurableLifecycleRoundTripVerifies) {
 
   // And the whole recovered store audits clean against the live tree.
   StoreAuditor auditor(&TestPki::Instance().registry());
-  auto audit = auditor.Audit(*restored, db.tree());
+  auto audit = auditor.Audit(restored->QuiescentSnapshot(), db.tree());
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 

@@ -44,7 +44,8 @@ class WorkloadScaleTest : public ::testing::Test {
     EXPECT_TRUE(report.ok()) << report.ToString();
 
     provenance::StoreAuditor auditor(&TestPki::Instance().registry());
-    auto audit = auditor.Audit(db_.provenance(), db_.tree());
+    auto audit =
+        auditor.Audit(db_.provenance().QuiescentSnapshot(), db_.tree());
     EXPECT_TRUE(audit.ok()) << audit.ToString();
   }
 

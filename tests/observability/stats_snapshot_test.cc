@@ -82,7 +82,8 @@ class StatsSnapshotTest : public ::testing::Test {
     provenance::StoreAuditor auditor(&TestPki::Instance().registry(),
                                      crypto::HashAlgorithm::kSha1,
                                      ParallelismConfig{4});
-    EXPECT_TRUE(auditor.Audit(db.provenance(), db.tree()).ok());
+    EXPECT_TRUE(
+        auditor.Audit(db.provenance().QuiescentSnapshot(), db.tree()).ok());
 
     storage::WalRecoveryReport report;
     auto restored = provenance::ProvenanceStore::RecoverFromWal(

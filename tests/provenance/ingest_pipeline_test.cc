@@ -270,7 +270,7 @@ TEST(IngestPipelineTest, ReopenContinuesChainsFromRecoveredTails) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-TEST(IngestPipelineTest, MergedStoreFeedsSequentialMachinery) {
+TEST(IngestPipelineTest, SnapshotFeedsSequentialMachinery) {
   std::string root = FreshDir("merge");
   IngestOptions options;
   options.num_shards = 3;
@@ -281,11 +281,14 @@ TEST(IngestPipelineTest, MergedStoreFeedsSequentialMachinery) {
         (*pipeline)->Submit(Insert(id, static_cast<uint8_t>(id))).ok());
   }
   ASSERT_TRUE((*pipeline)->Close().ok());
-  auto merged = (*pipeline)->store().MergedStore();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged->record_count(), 6u);
+  // The cross-shard snapshot is what extraction and the auditor read.
+  StoreSnapshot snapshot = (*pipeline)->OpenSnapshot();
+  EXPECT_EQ(snapshot.record_count(), 6u);
   for (ObjectId id = 31; id <= 36; ++id) {
-    EXPECT_EQ(merged->ChainOf(id).size(), 1u);
+    EXPECT_EQ(snapshot.ChainRecords(id).size(), 1u);
+    auto extracted = snapshot.ExtractProvenance(id);
+    ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
+    EXPECT_EQ(extracted->size(), 1u);
   }
 }
 

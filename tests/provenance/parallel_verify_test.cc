@@ -169,14 +169,15 @@ class ParallelAuditTest : public ::testing::Test {
   void ExpectAllThreadCountsAgree() {
     StoreAuditor sequential(&TestPki::Instance().registry());
     VerificationReport expected =
-        sequential.Audit(db_.provenance(), db_.tree());
+        sequential.Audit(db_.provenance().QuiescentSnapshot(), db_.tree());
     for (int threads : {1, 2, 4, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       StoreAuditor parallel(&TestPki::Instance().registry(),
                             crypto::HashAlgorithm::kSha1,
                             ParallelismConfig{threads});
-      ExpectReportsIdentical(expected,
-                             parallel.Audit(db_.provenance(), db_.tree()));
+      ExpectReportsIdentical(
+          expected,
+          parallel.Audit(db_.provenance().QuiescentSnapshot(), db_.tree()));
     }
   }
 
@@ -188,7 +189,8 @@ class ParallelAuditTest : public ::testing::Test {
 TEST_F(ParallelAuditTest, CleanStoreReportsIdentical) {
   StoreAuditor auditor(&TestPki::Instance().registry(),
                        crypto::HashAlgorithm::kSha1, ParallelismConfig{4});
-  EXPECT_TRUE(auditor.Audit(db_.provenance(), db_.tree()).ok());
+  EXPECT_TRUE(
+      auditor.Audit(db_.provenance().QuiescentSnapshot(), db_.tree()).ok());
   ExpectAllThreadCountsAgree();
 }
 
@@ -196,7 +198,8 @@ TEST_F(ParallelAuditTest, TamperedLiveObjectReportsIdentical) {
   ASSERT_TRUE(db_.bootstrap_tree().Update(cells_[2], Value::Int(666)).ok());
   StoreAuditor auditor(&TestPki::Instance().registry(),
                        crypto::HashAlgorithm::kSha1, ParallelismConfig{4});
-  VerificationReport report = auditor.Audit(db_.provenance(), db_.tree());
+  VerificationReport report =
+      auditor.Audit(db_.provenance().QuiescentSnapshot(), db_.tree());
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.HasIssue(IssueKind::kDataHashMismatch));
   ExpectAllThreadCountsAgree();
@@ -206,7 +209,7 @@ TEST_F(ParallelAuditTest, TamperedChecksumReportsIdentical) {
   db_.mutable_provenance()->mutable_record(2)->checksum[1] ^= 0x40;
   StoreAuditor auditor(&TestPki::Instance().registry(),
                        crypto::HashAlgorithm::kSha1, ParallelismConfig{4});
-  EXPECT_TRUE(auditor.Audit(db_.provenance(), db_.tree())
+  EXPECT_TRUE(auditor.Audit(db_.provenance().QuiescentSnapshot(), db_.tree())
                   .HasIssue(IssueKind::kBadSignature));
   ExpectAllThreadCountsAgree();
 }
@@ -216,7 +219,9 @@ TEST_F(ParallelAuditTest, AuditorReusesPoolAcrossAudits) {
   StoreAuditor auditor(&TestPki::Instance().registry(),
                        crypto::HashAlgorithm::kSha1, ParallelismConfig{4});
   for (int round = 0; round < 3; ++round) {
-    EXPECT_TRUE(auditor.Audit(db_.provenance(), db_.tree()).ok()) << round;
+    EXPECT_TRUE(
+        auditor.Audit(db_.provenance().QuiescentSnapshot(), db_.tree()).ok())
+        << round;
   }
 }
 

@@ -30,12 +30,17 @@ class QueryTest : public ::testing::Test {
     return TestPki::Instance().participant(i - 1);
   }
 
+  /// The quiescent store's one-view snapshot — what every query reads.
+  StoreSnapshot history() const {
+    return db_.provenance().QuiescentSnapshot();
+  }
+
   TrackedDatabase db_;
   ObjectId a_, b_, c_, d_;
 };
 
 TEST_F(QueryTest, SummarizeLineageCountsEverything) {
-  auto summary = SummarizeLineage(db_.provenance(), d_);
+  auto summary = SummarizeLineage(history(), d_);
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->record_count, 6u);  // 2 ins, 2 upd, 2 agg
   EXPECT_EQ(summary->insert_count, 2u);
@@ -50,51 +55,51 @@ TEST_F(QueryTest, SummarizeLineageCountsEverything) {
 }
 
 TEST_F(QueryTest, SummarizeLineageOfLeafChain) {
-  auto summary = SummarizeLineage(db_.provenance(), a_);
+  auto summary = SummarizeLineage(history(), a_);
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary->record_count, 2u);  // insert + update
   EXPECT_TRUE(summary->contributing_objects.empty());
 }
 
 TEST_F(QueryTest, SummarizeUnknownObjectFails) {
-  EXPECT_FALSE(SummarizeLineage(db_.provenance(), 999).ok());
+  EXPECT_FALSE(SummarizeLineage(history(), 999).ok());
 }
 
 TEST_F(QueryTest, RecordsByParticipant) {
-  auto p2_records = RecordsByParticipant(db_.provenance(), p(2).id());
+  auto p2_records = RecordsByParticipant(history(), p(2).id());
   EXPECT_EQ(p2_records.size(), 2u);  // the two updates
-  for (uint64_t idx : p2_records) {
-    EXPECT_EQ(db_.provenance().record(idx).op, OperationType::kUpdate);
+  for (const ProvenanceRecord* rec : p2_records) {
+    EXPECT_EQ(rec->op, OperationType::kUpdate);
   }
-  EXPECT_TRUE(RecordsByParticipant(db_.provenance(), 999).empty());
+  EXPECT_TRUE(RecordsByParticipant(history(), 999).empty());
 }
 
 TEST_F(QueryTest, ParticipantTouchedFollowsTheDag) {
   // p3 only signed C's aggregation — which is part of D's history.
-  auto touched = ParticipantTouched(db_.provenance(), d_, p(3).id());
+  auto touched = ParticipantTouched(history(), d_, p(3).id());
   ASSERT_TRUE(touched.ok());
   EXPECT_TRUE(*touched);
   // ...but p3 never touched A's own history.
-  touched = ParticipantTouched(db_.provenance(), a_, p(3).id());
+  touched = ParticipantTouched(history(), a_, p(3).id());
   ASSERT_TRUE(touched.ok());
   EXPECT_FALSE(*touched);
 }
 
 TEST_F(QueryTest, HistorySliceSelectsSeqRange) {
-  auto slice = HistorySlice(db_.provenance(), a_, 1, 1);
+  auto slice = HistorySlice(history(), a_, 1, 1);
   ASSERT_TRUE(slice.ok());
   ASSERT_EQ(slice->size(), 1u);
   EXPECT_EQ((*slice)[0].op, OperationType::kUpdate);
 
-  slice = HistorySlice(db_.provenance(), a_, 0, 100);
+  slice = HistorySlice(history(), a_, 0, 100);
   EXPECT_EQ(slice->size(), 2u);
 
-  EXPECT_FALSE(HistorySlice(db_.provenance(), a_, 2, 1).ok());
-  EXPECT_FALSE(HistorySlice(db_.provenance(), 999, 0, 1).ok());
+  EXPECT_FALSE(HistorySlice(history(), a_, 2, 1).ok());
+  EXPECT_FALSE(HistorySlice(history(), 999, 0, 1).ok());
 }
 
 TEST_F(QueryTest, DirectSourcesOfAggregate) {
-  auto sources = DirectSources(db_.provenance(), d_);
+  auto sources = DirectSources(history(), d_);
   ASSERT_TRUE(sources.ok());
   ASSERT_EQ(sources->size(), 2u);
   EXPECT_EQ((*sources)[0].object_id, a_);
@@ -102,10 +107,10 @@ TEST_F(QueryTest, DirectSourcesOfAggregate) {
 }
 
 TEST_F(QueryTest, DirectSourcesOfNonAggregateIsEmpty) {
-  auto sources = DirectSources(db_.provenance(), a_);
+  auto sources = DirectSources(history(), a_);
   ASSERT_TRUE(sources.ok());
   EXPECT_TRUE(sources->empty());
-  EXPECT_FALSE(DirectSources(db_.provenance(), 999).ok());
+  EXPECT_FALSE(DirectSources(history(), 999).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -138,14 +143,6 @@ TEST_F(QueryTest, PruningUpdatesSpaceAccounting) {
   uint64_t bytes_before = db_.provenance().PaperSchemaBytes();
   db_.mutable_provenance()->PruneObject(solo).value();
   EXPECT_LT(db_.provenance().PaperSchemaBytes(), bytes_before);
-}
-
-TEST_F(QueryTest, PrunedRecordsExcludedFromPersistence) {
-  ObjectId solo = *db_.Insert(p(1), Value::Int(7));
-  db_.mutable_provenance()->PruneObject(solo).value();
-  storage::RecordLog log;
-  ASSERT_TRUE(db_.provenance().SaveToLog(&log).ok());
-  EXPECT_EQ(log.record_count(), db_.provenance().live_record_count());
 }
 
 TEST_F(QueryTest, PruneIsIdempotentAndSafeOnUnknown) {

@@ -169,19 +169,20 @@ TEST(StoreSnapshotTest, SnapshotReadsMatchDirectReadsByteForByte) {
     }
     EXPECT_TRUE(snapshot.ChainRecords(0xFFFFFFFFull).empty());
 
-    // Extraction closure agrees with the canonical merged-store order.
-    auto merged = store.MergedStore();
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    // Extraction closure agrees with the sequential reference store's,
+    // in the canonical (object id, seqID) order.
+    const StoreSnapshot reference =
+        fx.builder.reference_store().QuiescentSnapshot();
     for (ObjectId id : fx.builder.tracked_objects()) {
       SCOPED_TRACE("extract object " + std::to_string(id));
       auto from_snapshot = snapshot.ExtractProvenance(id);
-      auto from_merged = merged->ExtractProvenance(id);
+      auto from_reference = reference.ExtractProvenance(id);
       ASSERT_TRUE(from_snapshot.ok()) << from_snapshot.status().ToString();
-      ASSERT_TRUE(from_merged.ok()) << from_merged.status().ToString();
-      ASSERT_EQ(from_snapshot->size(), from_merged->size());
+      ASSERT_TRUE(from_reference.ok()) << from_reference.status().ToString();
+      ASSERT_EQ(from_snapshot->size(), from_reference->size());
       for (size_t i = 0; i < from_snapshot->size(); ++i) {
         EXPECT_EQ(EncodeRecord((*from_snapshot)[i]),
-                  EncodeRecord((*from_merged)[i]));
+                  EncodeRecord((*from_reference)[i]));
       }
     }
   }
@@ -202,12 +203,11 @@ TEST(StoreSnapshotTest, VerifierAndAuditorAgreeOnSnapshotAndStore) {
   EXPECT_TRUE(via_snapshot.ok()) << via_snapshot.ToString();
   EXPECT_EQ(via_snapshot.ToString(), via_store.ToString());
 
-  auto merged = store.MergedStore();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   StoreAuditor auditor(&fx.builder.registry(), fx.builder.algorithm());
   VerificationReport audit_snapshot = auditor.Audit(snapshot,
                                                     fx.builder.tree());
-  VerificationReport audit_store = auditor.Audit(*merged, fx.builder.tree());
+  VerificationReport audit_store = auditor.Audit(
+      fx.builder.reference_store().QuiescentSnapshot(), fx.builder.tree());
   EXPECT_TRUE(audit_snapshot.ok()) << audit_snapshot.ToString();
   EXPECT_EQ(audit_snapshot.ToString(), audit_store.ToString());
 }
@@ -217,19 +217,20 @@ TEST(StoreSnapshotTest, QueryOverloadsAgreeOnSnapshotAndStore) {
   fx.Build(0x5A4B0003u, 2);
   if (::testing::Test::HasFatalFailure()) return;
   StoreSnapshot snapshot = fx.pipeline->OpenSnapshot();
-  auto merged = fx.pipeline->store().MergedStore();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  // The sequential reference store, read through its quiescent snapshot.
+  const StoreSnapshot reference =
+      fx.builder.reference_store().QuiescentSnapshot();
 
   for (ObjectId id : fx.builder.tracked_objects()) {
     SCOPED_TRACE("object " + std::to_string(id));
     auto sum_snapshot = SummarizeLineage(snapshot, id);
-    auto sum_store = SummarizeLineage(*merged, id);
+    auto sum_store = SummarizeLineage(reference, id);
     ASSERT_TRUE(sum_snapshot.ok()) << sum_snapshot.status().ToString();
     ASSERT_TRUE(sum_store.ok()) << sum_store.status().ToString();
     EXPECT_EQ(sum_snapshot->ToString(), sum_store->ToString());
 
     auto slice_snapshot = HistorySlice(snapshot, id, 0, 1000);
-    auto slice_store = HistorySlice(*merged, id, 0, 1000);
+    auto slice_store = HistorySlice(reference, id, 0, 1000);
     ASSERT_TRUE(slice_snapshot.ok());
     ASSERT_TRUE(slice_store.ok());
     ASSERT_EQ(slice_snapshot->size(), slice_store->size());
@@ -239,25 +240,23 @@ TEST(StoreSnapshotTest, QueryOverloadsAgreeOnSnapshotAndStore) {
     }
 
     auto sources_snapshot = DirectSources(snapshot, id);
-    auto sources_store = DirectSources(*merged, id);
+    auto sources_store = DirectSources(reference, id);
     ASSERT_TRUE(sources_snapshot.ok());
     ASSERT_TRUE(sources_store.ok());
     EXPECT_EQ(sources_snapshot->size(), sources_store->size());
   }
 
-  // Participant queries: the snapshot overload returns records in
-  // ascending (object, seq) order — same multiset as the merged store's
-  // index-based overload (whose indices are already in that order).
+  // Participant queries: both sides return records in ascending
+  // (object, seq) order.
   for (size_t p = 0; p < provdb::testing::TestPki::kNumParticipants; ++p) {
     const crypto::ParticipantId participant = p + 1;  // 1-based test ids
     std::vector<const ProvenanceRecord*> via_snapshot =
         RecordsByParticipant(snapshot, participant);
-    std::vector<uint64_t> via_store =
-        RecordsByParticipant(*merged, participant);
+    std::vector<const ProvenanceRecord*> via_store =
+        RecordsByParticipant(reference, participant);
     ASSERT_EQ(via_snapshot.size(), via_store.size());
     for (size_t i = 0; i < via_snapshot.size(); ++i) {
-      EXPECT_EQ(EncodeRecord(*via_snapshot[i]),
-                EncodeRecord(merged->record(via_store[i])));
+      EXPECT_EQ(EncodeRecord(*via_snapshot[i]), EncodeRecord(*via_store[i]));
     }
   }
 }

@@ -1,20 +1,12 @@
 #include "storage/record_log.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cstdio>
 #include <string>
-
-#include "common/rng.h"
-#include "storage/fault_injection_env.h"
+#include <vector>
 
 namespace provdb::storage {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 Bytes Payload(std::string_view s) { return ByteView(s).ToBytes(); }
 
@@ -56,8 +48,6 @@ TEST(RecordLogTest, ByteAccounting) {
   ASSERT_TRUE(log.Append(Payload("abc")).ok());
   ASSERT_TRUE(log.Append(Payload("defgh")).ok());
   EXPECT_EQ(log.total_payload_bytes(), 8u);
-  // frame = varint(3)+3+4 + varint(5)+5+4 = 8 + 10 + 2 varint bytes
-  EXPECT_EQ(log.total_frame_bytes(), 18u);
 }
 
 TEST(RecordLogTest, ForEachVisitsInOrder) {
@@ -86,146 +76,6 @@ TEST(RecordLogTest, ForEachPropagatesError) {
   });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(visits, 1);
-}
-
-TEST(RecordLogTest, SaveLoadRoundTrip) {
-  std::string path = TempPath("log_roundtrip.bin");
-  RecordLog log;
-  Rng rng(42);
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 50; ++i) {
-    Bytes p;
-    rng.NextBytes(&p, rng.NextBelow(200));
-    payloads.push_back(p);
-    ASSERT_TRUE(log.Append(p).ok());
-  }
-  ASSERT_TRUE(log.SaveToFile(path).ok());
-
-  auto loaded = RecordLog::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->record_count(), 50u);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(loaded->Get(i)->ToBytes(), payloads[i]) << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(RecordLogTest, EmptyLogRoundTrips) {
-  std::string path = TempPath("log_empty.bin");
-  RecordLog log;
-  ASSERT_TRUE(log.SaveToFile(path).ok());
-  auto loaded = RecordLog::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->record_count(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(RecordLogTest, CorruptionDetectedOnLoad) {
-  std::string path = TempPath("log_corrupt.bin");
-  RecordLog log;
-  ASSERT_TRUE(log.Append(Payload("payload-one")).ok());
-  ASSERT_TRUE(log.Append(Payload("payload-two")).ok());
-  ASSERT_TRUE(log.SaveToFile(path).ok());
-
-  // Flip one payload byte on disk.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 3, SEEK_SET);
-  int c = std::fgetc(f);
-  std::fseek(f, 3, SEEK_SET);
-  std::fputc(c ^ 0x01, f);
-  std::fclose(f);
-
-  auto loaded = RecordLog::LoadFromFile(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(RecordLogTest, TruncationDetectedOnLoad) {
-  std::string path = TempPath("log_truncated.bin");
-  RecordLog log;
-  ASSERT_TRUE(log.Append(Bytes(100, 0x55)).ok());
-  ASSERT_TRUE(log.SaveToFile(path).ok());
-
-  // Truncate the file mid-record.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(truncate(path.c_str(), 50), 0);
-  std::fclose(f);
-
-  EXPECT_FALSE(RecordLog::LoadFromFile(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(RecordLogTest, MissingFileFailsCleanly) {
-  auto loaded = RecordLog::LoadFromFile(TempPath("does_not_exist.bin"));
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-}
-
-// Regression (fread error == EOF): reading a path whose bytes cannot be
-// read must be an I/O error, not a silently empty-but-valid log. A
-// directory opens fine but read(2) fails on it, which is exactly the
-// failing-disk shape the old fread loop swallowed.
-TEST(RecordLogTest, UnreadableFileIsIoErrorNotEmptyLog) {
-  std::string dir = TempPath("log_is_a_directory");
-  ASSERT_TRUE(Env::Default()->CreateDir(dir).ok());
-  auto loaded = RecordLog::LoadFromFile(dir);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-}
-
-// Regression (no-fsync-before-rename): SaveToFile must sync the temp
-// file before publishing it via rename and sync the directory after.
-// With a FaultInjectionEnv, a simulated power cut immediately after
-// SaveToFile returns must still find the complete log.
-TEST(RecordLogTest, SaveSurvivesPowerCutAfterReturn) {
-  FaultInjectionEnv env(Env::Default());
-  std::string path = TempPath("log_durable.bin");
-  RecordLog log;
-  ASSERT_TRUE(log.Append(Payload("must-survive-1")).ok());
-  ASSERT_TRUE(log.Append(Payload("must-survive-2")).ok());
-
-  ASSERT_TRUE(log.SaveToFile(&env, path).ok());
-  EXPECT_GE(env.sync_count(), 1u) << "temp file was never fsync'd";
-  EXPECT_GE(env.dir_sync_count(), 1u) << "parent directory never fsync'd";
-
-  // Power cut: all unsynced data vanishes. The published file must be
-  // intact because its bytes were synced before the rename.
-  ASSERT_TRUE(env.DropUnsyncedFileData().ok());
-  auto loaded = RecordLog::LoadFromFile(&env, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->record_count(), 2u);
-  EXPECT_EQ(loaded->Get(1)->ToString(), "must-survive-2");
-  std::remove(path.c_str());
-}
-
-TEST(RecordLogTest, FailedSaveCleansUpTempAndReportsError) {
-  FaultInjectionEnv env(Env::Default());
-  std::string path = TempPath("log_failed_save.bin");
-  RecordLog log;
-  ASSERT_TRUE(log.Append(Payload("doomed")).ok());
-
-  env.ScheduleAppendFailure(1);
-  Status s = log.SaveToFile(&env, path);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kIoError);
-  EXPECT_FALSE(env.FileExists(path));
-  EXPECT_FALSE(env.FileExists(path + ".tmp")) << "temp file leaked";
-}
-
-TEST(RecordLogTest, FailedSyncDoesNotPublishTornFile) {
-  FaultInjectionEnv env(Env::Default());
-  std::string path = TempPath("log_failed_sync.bin");
-  RecordLog log;
-  ASSERT_TRUE(log.Append(Payload("doomed")).ok());
-
-  env.ScheduleSyncFailure(1);
-  Status s = log.SaveToFile(&env, path);
-  EXPECT_FALSE(s.ok());
-  EXPECT_FALSE(env.FileExists(path))
-      << "rename happened despite the failed fsync";
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "provenance/checksum.h"
 #include "provenance/ingest_pipeline.h"
 #include "provenance/provenance_store.h"
+#include "provenance/snapshot.h"
 #include "provenance/subtree_hasher.h"
 #include "storage/env.h"
 #include "storage/tree_store.h"
@@ -125,6 +126,17 @@ Result<std::unique_ptr<provenance::IngestPipeline>> ReplayThroughPipeline(
     const std::vector<provenance::IngestRequest>& requests,
     provenance::IngestOptions options);
 
+/// Checks that the one read path answers alike over two snapshots: for
+/// every object in `objects`, ExtractProvenance, SummarizeLineage,
+/// ParticipantTouched, HistorySlice and DirectSources return the same
+/// status code and byte-identical answers, and RecordsByParticipant
+/// agrees for every test participant (plus an unknown one). `expected`
+/// is typically a quiesced reference read through
+/// ProvenanceStore::QuiescentSnapshot; `actual` a sharded or live cut.
+Status CheckSameReads(const provenance::StoreSnapshot& actual,
+                      const provenance::StoreSnapshot& expected,
+                      const std::vector<storage::ObjectId>& objects);
+
 // ---------------------------------------------------------------------
 // Concurrent-auditor mode (DESIGN.md §16): audit a *moving* pipeline.
 // ---------------------------------------------------------------------
@@ -158,10 +170,12 @@ Result<provenance::ProvenanceStore> ShardPrefixStore(
 /// builder's request stream: for every shard, the cut's record count
 /// lies on a group-commit boundary (a multiple of `max_batch_records`,
 /// or the shard's whole subsequence), its chains are byte-identical to
-/// replaying exactly that prefix of the shard's requests, and the
+/// replaying exactly that prefix of the shard's requests, the
 /// verification report over the cut is byte-identical to the report a
 /// quiesced store stopped at the same per-shard prefixes would produce
-/// (cross-shard aggregate-input resolution included). Requires the
+/// (cross-shard aggregate-input resolution included), and extraction and
+/// every query helper answer over the cut's objects exactly as over that
+/// quiesced store (CheckSameReads). Requires the
 /// pipeline to be configured so only the record-count threshold can
 /// fire (huge max_batch_bytes, no interval flush).
 Status CheckSnapshotIsBatchPrefix(const provenance::StoreSnapshot& snapshot,

@@ -274,7 +274,8 @@ int Stats(bool as_json) {
   auto report = verifier.Verify(bundle);
   provenance::StoreAuditor auditor(&registry, crypto::HashAlgorithm::kSha1,
                                    ParallelismConfig{4});
-  auto audit = auditor.Audit(db.provenance(), db.tree());
+  auto audit =
+      auditor.Audit(db.provenance().QuiescentSnapshot(), db.tree());
 
   // Checkpoint + bounded recovery: seal a signed snapshot (rolling the
   // WAL and garbage-collecting the segments it covers), append a small
