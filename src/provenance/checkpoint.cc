@@ -57,10 +57,97 @@ Bytes BuildCheckpointHeader(uint64_t horizon) {
   return header;
 }
 
-/// The write buffer of CheckpointWriter::Write: frames are appended to
-/// the temp file in chunks of about this size, so a seal's memory stays
-/// bounded however large the store grows.
-constexpr size_t kWriteChunkBytes = 64 * 1024;
+/// The I/O unit of both directions: CheckpointWriter::Write appends
+/// frames to the temp file in chunks of about this size, and
+/// CheckpointReader::Load reads the file in ranges of at most this size,
+/// so neither a seal's nor a load's buffer grows with the store.
+constexpr size_t kChunkBytes = 64 * 1024;
+
+/// A varint64 never takes more than this many bytes.
+constexpr size_t kMaxVarintBytes = 10;
+
+/// Reads one checkpoint file front to back through Env::ReadFileRange,
+/// at most kChunkBytes per read. The buffer is one chunk, or one frame
+/// when a frame is larger than that — never the whole file.
+class FrameStream {
+ public:
+  FrameStream(storage::Env* env, const std::string& path, uint64_t size)
+      : env_(env), path_(path), size_(size) {}
+
+  /// Bytes of the file not yet consumed.
+  uint64_t remaining() const { return size_ - consumed_; }
+
+  /// Consumes the next `n` bytes (at most remaining()). The view is valid
+  /// until the next call.
+  Result<ByteView> Take(size_t n) {
+    PROVDB_RETURN_IF_ERROR(Fill(n));
+    const ByteView bytes(buffer_.data() + pos_, n);
+    pos_ += n;
+    consumed_ += n;
+    return bytes;
+  }
+
+  /// Consumes the next frame and returns its CRC-checked payload, valid
+  /// until the next call. A length reaching past the end of the file is
+  /// refused before anything is read for it, so a forged length costs no
+  /// memory.
+  Result<ByteView> Next() {
+    const size_t peek =
+        static_cast<size_t>(std::min<uint64_t>(remaining(), kMaxVarintBytes));
+    PROVDB_RETURN_IF_ERROR(Fill(peek));
+    VarintReader reader(ByteView(buffer_.data() + pos_, peek));
+    PROVDB_ASSIGN_OR_RETURN(uint64_t length, reader.ReadVarint64());
+    const uint64_t after = remaining() - reader.position();
+    if (length > after || after - length < 4) {
+      return Status::Corruption("truncated checkpoint frame in " + path_);
+    }
+    const size_t prefix = reader.position();
+    PROVDB_ASSIGN_OR_RETURN(ByteView frame,
+                            Take(prefix + static_cast<size_t>(length) + 4));
+    const ByteView payload = frame.subview(prefix, length);
+    if (ReadFixed32(frame, prefix + payload.size()) != Crc32(payload)) {
+      return Status::Corruption("checkpoint frame CRC mismatch in " + path_);
+    }
+    return payload;
+  }
+
+ private:
+  /// Makes the next `n` bytes (at most remaining()) resident from pos_.
+  /// A fill tops the buffer up to one chunk, or to `n` for a frame larger
+  /// than that, and reserves exactly that: for every frame that fits a
+  /// chunk the buffer is one chunk, allocated once.
+  Status Fill(size_t n) {
+    if (buffer_.size() - pos_ >= n) {
+      return Status::OK();
+    }
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ = 0;
+    const uint64_t unread = size_ - consumed_ - buffer_.size();
+    const size_t target = static_cast<size_t>(std::min<uint64_t>(
+        std::max(n, kChunkBytes), buffer_.size() + unread));
+    buffer_.reserve(target);
+    while (buffer_.size() < target) {
+      const uint64_t offset = consumed_ + buffer_.size();
+      const size_t want = std::min(kChunkBytes, target - buffer_.size());
+      const size_t before = buffer_.size();
+      PROVDB_RETURN_IF_ERROR(
+          env_->ReadFileRange(path_, offset, want, &buffer_));
+      if (buffer_.size() - before != want) {
+        return Status::Corruption("checkpoint " + path_ +
+                                  " shrank while being read");
+      }
+    }
+    return Status::OK();
+  }
+
+  storage::Env* env_;
+  const std::string& path_;
+  const uint64_t size_;
+  uint64_t consumed_ = 0;
+  Bytes buffer_;
+  size_t pos_ = 0;
+};
 
 void AppendFrame(Bytes* out, ByteView payload) {
   AppendVarint64(out, payload.size());
@@ -216,7 +303,7 @@ Status CheckpointWriter::Write(storage::Env* env, const std::string& dir,
   auto emit = [&](ByteView payload) -> Status {
     AbsorbFrame(hasher.get(), payload);
     AppendFrame(&chunk, payload);
-    return chunk.size() >= kWriteChunkBytes ? flush_chunk() : Status::OK();
+    return chunk.size() >= kChunkBytes ? flush_chunk() : Status::OK();
   };
   PROVDB_RETURN_IF_ERROR(emit(EncodeManifest(manifest)));
   for (const ProvenanceRecord* record : records) {
@@ -252,70 +339,83 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
       metrics.histogram("checkpoint.load.latency_us"));
   observability::TraceSpan span("checkpoint.load");
 
-  PROVDB_ASSIGN_OR_RETURN(Bytes content, env->ReadFileToBytes(path));
-  if (content.size() < kCheckpointHeaderSize) {
+  PROVDB_ASSIGN_OR_RETURN(uint64_t file_size, env->FileSize(path));
+  if (file_size < kCheckpointHeaderSize) {
     return Status::Corruption("checkpoint " + path + " shorter than header");
   }
+  FrameStream frames(env, path, file_size);
+  PROVDB_ASSIGN_OR_RETURN(ByteView header,
+                          frames.Take(kCheckpointHeaderSize));
   // The magic is a public framing constant, not a secret; timing-safe
   // comparison is not required here.
   // lint:allow ct-memcmp
-  if (std::memcmp(content.data(), kCheckpointMagic,
+  if (std::memcmp(header.data(), kCheckpointMagic,
                   sizeof(kCheckpointMagic)) != 0 ||
-      ReadFixed32(content, 16) != Crc32(ByteView(content.data(), 16))) {
+      ReadFixed32(header, 16) != Crc32(header.subview(0, 16))) {
     return Status::Corruption("bad checkpoint header in " + path);
   }
-  const uint64_t header_horizon = ReadFixed64(content, 8);
+  const uint64_t header_horizon = ReadFixed64(header, 8);
 
+  // One pass over the frames, in file order: each frame's CRC is checked,
+  // its payload absorbed into the root digest, and — for a record frame —
+  // decoded into the store. Frame roles come from the manifest's record
+  // count: manifest, that many records, chain tails, seal, end of file.
   // Strict framing: checkpoints are written atomically, so unlike a WAL
   // tail there is no legal way for one to end mid-frame — every
-  // malformation is corruption, never a salvageable tear. Payloads stay
-  // views into `content`: recovery memory is the file plus the rebuilt
-  // store, not a second copy of every frame.
-  std::vector<ByteView> payloads;
-  const ByteView body = ByteView(content).subview(kCheckpointHeaderSize);
-  for (size_t pos = 0; pos < body.size();) {
-    VarintReader reader(body.subview(pos));
-    PROVDB_ASSIGN_OR_RETURN(uint64_t length, reader.ReadVarint64());
-    const size_t start = pos + reader.position();
-    if (length > body.size() - start || body.size() - start - length < 4) {
-      return Status::Corruption("truncated checkpoint frame in " + path);
+  // malformation is corruption, never a salvageable tear — including a
+  // file that ends before the manifest's frame count is reached.
+  auto next_frame = [&]() -> Result<ByteView> {
+    if (frames.remaining() == 0) {
+      return Status::Corruption("checkpoint " + path +
+                                " ends before its manifest's last frame");
     }
-    const ByteView payload = body.subview(start, length);
-    if (ReadFixed32(body, start + length) != Crc32(payload)) {
-      return Status::Corruption("checkpoint frame CRC mismatch in " + path);
-    }
-    payloads.push_back(payload);
-    pos = start + length + 4;
-  }
-  if (payloads.size() < 3) {
-    // Minimum: manifest, chain tails, seal (an empty store still seals).
-    return Status::Corruption("checkpoint " + path + " is missing frames");
-  }
-
+    return frames.Next();
+  };
+  PROVDB_ASSIGN_OR_RETURN(ByteView manifest_payload, next_frame());
   PROVDB_ASSIGN_OR_RETURN(CheckpointManifest manifest,
-                          DecodeManifest(payloads.front()));
+                          DecodeManifest(manifest_payload));
   if (manifest.wal_horizon != header_horizon) {
     return Status::Corruption(
         "checkpoint header horizon disagrees with its manifest in " + path);
   }
-  if (payloads.size() != manifest.live_records + 3) {
-    return Status::Corruption("checkpoint " + path + " frame count " +
-                              std::to_string(payloads.size()) +
-                              " does not match its manifest");
-  }
-
-  // Verify the seal before trusting a single record: recompute the root
-  // over every sealed payload and check the signature. This is the same
-  // refusal a tampered record meets — kVerificationFailed, no partial
-  // load.
   std::unique_ptr<crypto::Hasher> hasher =
       crypto::CreateHasher(manifest.root_hash);
   hasher->Reset();
-  for (size_t i = 0; i + 1 < payloads.size(); ++i) {
-    AbsorbFrame(hasher.get(), payloads[i]);
+  AbsorbFrame(hasher.get(), manifest_payload);
+
+  // A record that fails to decode or to join its chain is held back, not
+  // reported: a record forged under a valid CRC must meet the seal's
+  // refusal (kVerificationFailed), whichever of its bytes changed, so no
+  // decode error may be reported before the seal is checked. Records
+  // past the first failure are still hashed but no longer decoded.
+  LoadedCheckpoint loaded;
+  loaded.manifest = manifest;
+  Status record_error;
+  for (uint64_t i = 0; i < manifest.live_records; ++i) {
+    PROVDB_ASSIGN_OR_RETURN(ByteView payload, next_frame());
+    AbsorbFrame(hasher.get(), payload);
+    if (record_error.ok()) {
+      Result<ProvenanceRecord> rec = DecodeRecord(payload);
+      record_error =
+          rec.ok() ? loaded.store.AddRecord(std::move(rec).value()).status()
+                   : rec.status();
+    }
   }
+  PROVDB_ASSIGN_OR_RETURN(ByteView tails_payload, next_frame());
+  AbsorbFrame(hasher.get(), tails_payload);
+  const Bytes sealed_tails = tails_payload.ToBytes();
+  PROVDB_ASSIGN_OR_RETURN(ByteView seal_payload, next_frame());
+  if (frames.remaining() != 0) {
+    return Status::Corruption("checkpoint " + path +
+                              " has more frames than its manifest lists");
+  }
+
+  // The seal: the signature over the root of every preceding frame. This
+  // is the same refusal a tampered record meets — kVerificationFailed —
+  // and it is checked before the store leaves this function, so a file
+  // that fails it is never partially loaded.
   crypto::Digest root = hasher->Finish();
-  VarintReader seal_reader(payloads.back());
+  VarintReader seal_reader(seal_payload);
   PROVDB_ASSIGN_OR_RETURN(Bytes signature, seal_reader.ReadLengthPrefixed());
   if (!seal_reader.done()) {
     return Status::Corruption("trailing bytes after checkpoint seal in " +
@@ -327,17 +427,11 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
         "checkpoint seal of " + path +
         " does not verify: " + sealed.ToString());
   }
+  PROVDB_RETURN_IF_ERROR(record_error);
 
-  // Rebuild the store from the sealed records, then cross-check the
-  // rebuilt chain tails against the sealed ones — a defense-in-depth
-  // consistency check (the signature already covers both).
-  LoadedCheckpoint loaded;
-  loaded.manifest = manifest;
-  for (uint64_t i = 0; i < manifest.live_records; ++i) {
-    PROVDB_ASSIGN_OR_RETURN(ProvenanceRecord rec,
-                            DecodeRecord(payloads[1 + i]));
-    PROVDB_RETURN_IF_ERROR(loaded.store.AddRecord(std::move(rec)).status());
-  }
+  // Cross-check the rebuilt chain tails against the sealed ones — a
+  // defense-in-depth consistency check (the signature already covers
+  // both).
   const std::map<storage::ObjectId, ChainTail> rebuilt =
       CollectChainTails(loaded.store.CurrentView());
   if (rebuilt.size() != manifest.chain_count) {
@@ -345,7 +439,7 @@ Result<LoadedCheckpoint> CheckpointReader::Load(
                               std::to_string(rebuilt.size()) +
                               " does not match its manifest");
   }
-  VarintReader tails_reader(payloads[payloads.size() - 2]);
+  VarintReader tails_reader(sealed_tails);
   for (const auto& [object, tail] : rebuilt) {
     PROVDB_ASSIGN_OR_RETURN(uint64_t sealed_object,
                             tails_reader.ReadVarint64());

@@ -174,25 +174,64 @@ std::string ShardedProvenanceStore::ShardDirName(const std::string& root,
 Result<ShardedProvenanceStore> ShardedProvenanceStore::Recover(
     storage::Env* env, const std::string& root, size_t num_shards,
     std::vector<storage::WalRecoveryReport>* reports,
-    const crypto::SignatureVerifier* checkpoint_verifier) {
+    const crypto::SignatureVerifier* checkpoint_verifier, ThreadPool* pool) {
   if (num_shards == 0) {
     return Status::InvalidArgument("num_shards must be at least 1");
   }
   ShardedProvenanceStore store(num_shards);
+  std::vector<storage::WalRecoveryReport> shard_reports(num_shards);
+  std::vector<Status> statuses(num_shards);
+  // A missing directory is an empty shard: the crash may have hit before
+  // this shard received its first batch. It needs no recovery task.
+  std::vector<size_t> present;
   for (size_t i = 0; i < num_shards; ++i) {
-    const std::string dir = ShardDirName(root, i);
-    storage::WalRecoveryReport report;
-    if (env->FileExists(dir)) {
-      PROVDB_ASSIGN_OR_RETURN(
-          store.shards_[i],
-          ProvenanceStore::RecoverFromWal(env, dir, &report,
-                                          checkpoint_verifier));
+    if (env->FileExists(ShardDirName(root, i))) {
+      present.push_back(i);
     }
-    // A missing directory is an empty shard: the crash may have hit
-    // before this shard received its first batch.
-    if (reports != nullptr) {
-      reports->push_back(report);
+  }
+  // Shards share nothing on disk or in memory, so each recovers on its
+  // own task; every task writes only its own slots.
+  auto recover_shard = [&](size_t i) {
+    Result<ProvenanceStore> shard = ProvenanceStore::RecoverFromWal(
+        env, ShardDirName(root, i), &shard_reports[i], checkpoint_verifier);
+    if (shard.ok()) {
+      store.shards_[i] = std::move(shard).value();
+    } else {
+      statuses[i] = shard.status();
     }
+  };
+  if (pool != nullptr && pool->size() > 1 && present.size() > 1) {
+    std::vector<std::future<void>> tasks;
+    tasks.reserve(present.size());
+    for (size_t i : present) {
+      tasks.push_back(pool->Submit([&recover_shard, i] { recover_shard(i); }));
+    }
+    for (std::future<void>& task : tasks) {
+      task.get();
+    }
+  } else {
+    for (size_t i : present) {
+      recover_shard(i);
+      if (!statuses[i].ok()) {
+        break;
+      }
+    }
+  }
+  // The lowest failing shard decides the error, whatever order the tasks
+  // finished in; the reports before it are still appended, as a
+  // sequential recovery that stopped there would have.
+  for (size_t i = 0; i < num_shards; ++i) {
+    if (!statuses[i].ok()) {
+      if (reports != nullptr) {
+        reports->insert(reports->end(), shard_reports.begin(),
+                        shard_reports.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      return statuses[i];
+    }
+  }
+  if (reports != nullptr) {
+    reports->insert(reports->end(), shard_reports.begin(),
+                    shard_reports.end());
   }
   // Recovery built the shards domainless (RecoverFromWal returns
   // standalone stores); re-attach and publish so snapshots opened right
@@ -302,15 +341,25 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
   options.wal.group_commit_bytes = 0;
 
   PROVDB_RETURN_IF_ERROR(env->CreateDir(root_dir));
+  // The pool exists before recovery so the shards recover on it, one
+  // task each. Its new threads take over the malloc arenas that a closed
+  // pipeline's workers left behind, so a reopen rebuilds the store in
+  // memory the process already holds instead of beside it.
+  std::unique_ptr<ThreadPool> pool;
+  if (!options.signing.sequential()) {
+    pool = std::make_unique<ThreadPool>(
+        static_cast<size_t>(options.signing.num_threads));
+  }
   std::vector<storage::WalRecoveryReport> reports;
   PROVDB_ASSIGN_OR_RETURN(
       ShardedProvenanceStore recovered,
       ShardedProvenanceStore::Recover(env, root_dir, options.num_shards,
-                                      &reports,
-                                      options.checkpoint.verifier));
+                                      &reports, options.checkpoint.verifier,
+                                      pool.get()));
 
   std::unique_ptr<IngestPipeline> pipeline(
       new IngestPipeline(env, root_dir, options));
+  pipeline->pool_ = std::move(pool);
   pipeline->store_ =
       std::make_unique<ShardedProvenanceStore>(std::move(recovered));
 
@@ -335,10 +384,6 @@ Result<std::unique_ptr<IngestPipeline>> IngestPipeline::Open(
     pipeline->shards_.push_back(std::move(shard));
   }
 
-  if (!options.signing.sequential()) {
-    pipeline->pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options.signing.num_threads));
-  }
   if (recovery_reports != nullptr) {
     for (size_t i = 0; i < reports.size(); ++i) {
       recovery_reports->push_back(reports[i]);

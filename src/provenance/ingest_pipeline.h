@@ -94,10 +94,17 @@ class ShardedProvenanceStore {
   /// recover from it plus their WAL suffix; `checkpoint_verifier` checks
   /// the seals (required once any shard has checkpointed — see
   /// ProvenanceStore::RecoverFromWal).
+  ///
+  /// With a `pool` of two or more threads every shard recovers on its
+  /// own pool task; otherwise they recover one after another on the
+  /// caller's thread. Either way the result is the same: the error is
+  /// the lowest-indexed failing shard's, and `reports` gets the reports
+  /// of the shards before it.
   static Result<ShardedProvenanceStore> Recover(
       storage::Env* env, const std::string& root, size_t num_shards,
       std::vector<storage::WalRecoveryReport>* reports = nullptr,
-      const crypto::SignatureVerifier* checkpoint_verifier = nullptr);
+      const crypto::SignatureVerifier* checkpoint_verifier = nullptr,
+      ThreadPool* pool = nullptr);
 
   size_t num_shards() const { return shards_.size(); }
   ProvenanceStore& shard(size_t index) { return shards_[index]; }
@@ -256,7 +263,8 @@ struct IngestOptions {
 class IngestPipeline {
  public:
   /// Opens (or reopens) a pipeline rooted at `root_dir`: recovers any
-  /// existing shard directories, seeds every chain tail from the
+  /// existing shard directories (in parallel on the signing pool, when
+  /// `options.signing` asks for one), seeds every chain tail from the
   /// recovered records, and starts fresh WAL segments. Per-shard salvage
   /// reports land in `recovery_reports` when non-null.
   static Result<std::unique_ptr<IngestPipeline>> Open(

@@ -1,5 +1,6 @@
 #include "provenance/subtree_hasher.h"
 
+#include <algorithm>
 #include <future>
 #include <utility>
 #include <vector>
@@ -35,9 +36,15 @@ SubtreeHasher::SubtreeHasher(const storage::TreeStore* tree,
 crypto::Digest SubtreeHasher::HashNode(
     storage::ObjectId id, const storage::Value& value,
     const std::vector<crypto::Digest>& child_hashes) const {
-  nodes_hashed_.fetch_add(1, std::memory_order_relaxed);
-  nodes_hashed_total_->Increment();
+  CountWork(0, 1);
   return HashTreeNode(alg_, id, value, child_hashes);
+}
+
+void SubtreeHasher::CountWork(uint64_t subtree_calls,
+                              uint64_t nodes_hashed) const {
+  subtree_calls_->Add(subtree_calls);
+  nodes_hashed_.fetch_add(nodes_hashed, std::memory_order_relaxed);
+  nodes_hashed_total_->Add(nodes_hashed);
 }
 
 crypto::Digest SubtreeHasher::HashAtomic(storage::ObjectId id,
@@ -47,7 +54,14 @@ crypto::Digest SubtreeHasher::HashAtomic(storage::ObjectId id,
 
 Result<crypto::Digest> SubtreeHasher::HashSubtreeBasic(
     storage::ObjectId root) const {
-  subtree_calls_->Increment();
+  uint64_t hashed = 0;
+  Result<crypto::Digest> digest = WalkBasic(root, &hashed);
+  CountWork(1, hashed);
+  return digest;
+}
+
+Result<crypto::Digest> SubtreeHasher::WalkBasic(storage::ObjectId root,
+                                                uint64_t* hashed) const {
   PROVDB_RETURN_IF_ERROR(tree_->GetNode(root).status());
 
   // Iterative post-order: children hashed before their parent.
@@ -68,7 +82,9 @@ Result<crypto::Digest> SubtreeHasher::HashSubtreeBasic(
       stack.push_back({child, 0, {}});
       continue;
     }
-    crypto::Digest digest = HashNode(node.id, node.value, frame.child_hashes);
+    crypto::Digest digest =
+        HashTreeNode(alg_, node.id, node.value, frame.child_hashes);
+    ++*hashed;
     stack.pop_back();
     if (stack.empty()) {
       result = digest;
@@ -87,28 +103,44 @@ Result<crypto::Digest> SubtreeHasher::HashSubtreeBasic(
     return HashSubtreeBasic(root);
   }
 
-  // Fan out one task per child subtree (embarrassingly parallel: each
-  // task only reads the tree). node->children is sorted ascending, and
-  // futures are collected in that same order, so the combined digest is
-  // identical to the sequential walk's.
-  std::vector<std::future<Result<crypto::Digest>>> tasks;
-  tasks.reserve(node->children.size());
-  for (storage::ObjectId child : node->children) {
-    tasks.push_back(
-        pool->Submit([this, child] { return HashSubtreeBasic(child); }));
-  }
-  std::vector<crypto::Digest> child_hashes;
-  child_hashes.reserve(tasks.size());
-  Status first_error;
-  for (std::future<Result<crypto::Digest>>& task : tasks) {
-    Result<crypto::Digest> digest = task.get();
-    if (!digest.ok()) {
-      if (first_error.ok()) {
-        first_error = digest.status();
+  // Fan out at most one task per worker, each over a contiguous run of
+  // child subtrees (embarrassingly parallel: each task only reads the
+  // tree). One task per child would pay a queue round trip per child,
+  // which on a wide table of small rows costs more than the hashing.
+  // Every digest lands at its child's index, so the combined digest is
+  // identical to the sequential walk's (node->children is sorted).
+  const size_t children = node->children.size();
+  const size_t num_tasks = std::min(pool->size(), children);
+  std::vector<crypto::Digest> child_hashes(children);
+  std::vector<std::future<Status>> tasks;
+  tasks.reserve(num_tasks);
+  for (size_t t = 0; t < num_tasks; ++t) {
+    const size_t begin = children * t / num_tasks;
+    const size_t end = children * (t + 1) / num_tasks;
+    tasks.push_back(pool->Submit([this, node, begin, end, &child_hashes] {
+      uint64_t hashed = 0;
+      Status status;
+      size_t i = begin;
+      for (; i < end && status.ok(); ++i) {
+        Result<crypto::Digest> digest = WalkBasic(node->children[i], &hashed);
+        if (digest.ok()) {
+          child_hashes[i] = std::move(digest).value();
+        } else {
+          status = digest.status();
+        }
       }
-      continue;  // keep draining so no future outlives this call
+      CountWork(i - begin, hashed);
+      return status;
+    }));
+  }
+  // The lowest failing run reports; every future is drained so no task
+  // outlives this call.
+  Status first_error;
+  for (std::future<Status>& task : tasks) {
+    Status status = task.get();
+    if (first_error.ok()) {
+      first_error = status;
     }
-    child_hashes.push_back(std::move(digest).value());
   }
   if (!first_error.ok()) {
     return first_error;

@@ -60,7 +60,8 @@ class SubtreeHasher {
       storage::ObjectId root) const;
 
   /// Basic walk fanned out over `pool`: the subtrees of root's children
-  /// are hashed as independent pool tasks (child digests combine in
+  /// are hashed on at most `pool->size()` tasks, each over a contiguous
+  /// run of children (child digests combine in
   /// ascending-id order, §4.3, so the digest is identical to the
   /// sequential walk). Falls back to the sequential walk when `pool` is
   /// null, has a single worker, or the root has fewer than two children.
@@ -90,6 +91,14 @@ class SubtreeHasher {
   }
 
  private:
+  /// The basic post-order walk, touching no shared counter: it adds the
+  /// nodes it hashed to `*hashed`, and its caller reports them through
+  /// CountWork once per walk — per-node atomics shared by every pool
+  /// task would cost more than hashing a small node.
+  Result<crypto::Digest> WalkBasic(storage::ObjectId root,
+                                   uint64_t* hashed) const;
+  void CountWork(uint64_t subtree_calls, uint64_t nodes_hashed) const;
+
   const storage::TreeStore* tree_;
   crypto::HashAlgorithm alg_;
   mutable std::atomic<uint64_t> nodes_hashed_{0};

@@ -148,6 +148,36 @@ class PosixEnv final : public Env {
     return content;
   }
 
+  Status ReadFileRange(const std::string& path, uint64_t offset,
+                       size_t length, Bytes* out) override {
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      return Status::IoError(ErrnoMessage("open " + path + " for reading"));
+    }
+    const size_t start = out->size();
+    out->resize(start + length);
+    size_t got = 0;
+    Status s;
+    while (got < length) {
+      ssize_t n = ::pread(fd, out->data() + start + got, length - got,
+                          static_cast<off_t>(offset + got));
+      if (n < 0) {
+        if (errno == EINTR) {
+          continue;
+        }
+        s = Status::IoError(ErrnoMessage("read " + path));
+        break;
+      }
+      if (n == 0) {
+        break;
+      }
+      got += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    out->resize(start + got);
+    return s;
+  }
+
   Status RenameFile(const std::string& from, const std::string& to) override {
     if (::rename(from.c_str(), to.c_str()) != 0) {
       return Status::IoError(ErrnoMessage("rename " + from + " -> " + to));

@@ -61,6 +61,14 @@ class Env {
   /// silently short buffer.
   virtual Result<Bytes> ReadFileToBytes(const std::string& path) = 0;
 
+  /// Appends up to `length` bytes of `path`, starting at byte `offset`,
+  /// to `*out`. Fewer bytes arrive only at end of file (none when
+  /// `offset` is at or past it); a mid-read I/O failure is an error.
+  /// Streaming readers (CheckpointReader::Load) call this chunk by chunk
+  /// so their memory stays bounded whatever the file's size.
+  virtual Status ReadFileRange(const std::string& path, uint64_t offset,
+                               size_t length, Bytes* out) = 0;
+
   /// Atomically renames `from` to `to` and fsyncs the target's parent
   /// directory, so the new name itself survives a power cut. The *file
   /// contents* must already have been Sync'd by the caller.

@@ -88,6 +88,12 @@ Result<Bytes> FaultInjectionEnv::ReadFileToBytes(const std::string& path) {
   return base_->ReadFileToBytes(path);
 }
 
+Status FaultInjectionEnv::ReadFileRange(const std::string& path,
+                                        uint64_t offset, size_t length,
+                                        Bytes* out) {
+  return base_->ReadFileRange(path, offset, length, out);
+}
+
 Status FaultInjectionEnv::RenameFile(const std::string& from,
                                      const std::string& to) {
   MutexLock lock(&mu_);

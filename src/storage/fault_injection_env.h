@@ -45,6 +45,8 @@ class FaultInjectionEnv final : public Env {
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override;
   Result<Bytes> ReadFileToBytes(const std::string& path) override;
+  Status ReadFileRange(const std::string& path, uint64_t offset,
+                       size_t length, Bytes* out) override;
   Status RenameFile(const std::string& from, const std::string& to) override;
   Status RemoveFile(const std::string& path) override;
   Status CreateDir(const std::string& path) override;

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/crc32.h"
+#include "common/varint.h"
 #include "crypto/signer.h"
+#include "testing/gated_env.h"
 #include "testing/test_pki.h"
 
 namespace provdb::provenance {
@@ -100,6 +104,50 @@ size_t ReadVarintAt(const Bytes& bytes, size_t* pos) {
   return static_cast<size_t>(value);
 }
 
+/// Run-length rendering of per-byte status codes ("6x20 8x131 ..."), so
+/// a whole flip matrix compares as one short string.
+std::string RunLengths(const std::vector<StatusCode>& codes) {
+  std::string out;
+  for (size_t i = 0; i < codes.size();) {
+    size_t j = i;
+    while (j < codes.size() && codes[j] == codes[i]) ++j;
+    if (!out.empty()) out += ' ';
+    out += std::to_string(static_cast<int>(codes[i])) + "x" +
+           std::to_string(j - i);
+    i = j;
+  }
+  return out;
+}
+
+/// Counts the reads a checkpoint load makes through the Env.
+class ReadCountingEnv final : public provdb::testing::ForwardingEnv {
+ public:
+  using ForwardingEnv::ForwardingEnv;
+
+  Result<Bytes> ReadFileToBytes(const std::string& path) override {
+    ++whole_file_reads;
+    return ForwardingEnv::ReadFileToBytes(path);
+  }
+  Status ReadFileRange(const std::string& path, uint64_t offset,
+                       size_t length, Bytes* out) override {
+    ++range_reads;
+    largest_read = std::max(largest_read, length);
+    if (offset != next_offset) out_of_order = true;
+    const size_t before = out->size();
+    Status status = ForwardingEnv::ReadFileRange(path, offset, length, out);
+    bytes_read += out->size() - before;
+    next_offset = offset + (out->size() - before);
+    return status;
+  }
+
+  size_t whole_file_reads = 0;
+  size_t range_reads = 0;
+  size_t largest_read = 0;
+  uint64_t bytes_read = 0;
+  uint64_t next_offset = 0;
+  bool out_of_order = false;
+};
+
 TEST_F(CheckpointTest, RoundTripRestoresStoreAndManifest) {
   ProvenanceStore store = SmallStore();
   ASSERT_TRUE(CheckpointWriter::Write(env_, dir_, store.CurrentView(),
@@ -172,13 +220,160 @@ TEST_F(CheckpointTest, EveryByteFlipIsRefused) {
   // Flip every byte of the file, one at a time: each flip must be
   // refused — by the header check, a frame CRC, the framing parse, or
   // the seal — and never partially loaded.
+  std::vector<StatusCode> codes;
   for (size_t i = 0; i < pristine.size(); ++i) {
     Bytes tampered = pristine;
     tampered[i] ^= 0xFF;
     WriteAll(path, tampered);
     auto loaded = CheckpointReader::Load(env_, path, verifier);
     EXPECT_FALSE(loaded.ok()) << "byte " << i << " flip was accepted";
+    codes.push_back(loaded.status().code());
   }
+  // The refusal of each flip, as the whole-file reader (which checked
+  // every frame before decoding any record) gave it: every flip breaks
+  // the header check or a frame CRC, so all 888 are kCorruption (6). The
+  // streaming reader must refuse each byte with the same code.
+  ASSERT_EQ(pristine.size(), 888u) << "the recorded matrix is for this file";
+  EXPECT_EQ(RunLengths(codes), "6x888");
+}
+
+TEST_F(CheckpointTest, EveryCrcPatchedFlipKeepsItsRefusal) {
+  ProvenanceStore store = SmallStore();
+  ASSERT_TRUE(
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              1, Sealer(), 1).ok());
+  const std::string path = CheckpointFileName(dir_, 1);
+  const Bytes pristine = ReadAll(path);
+  auto verifier = SealVerifier();
+
+  // Flip every payload byte of every frame and patch that frame's CRC,
+  // so the damage passes framing and meets the decoders and the seal.
+  std::vector<StatusCode> codes;
+  for (size_t pos = kCheckpointHeaderSize; pos < pristine.size();) {
+    const size_t length = ReadVarintAt(pristine, &pos);
+    for (size_t i = pos; i < pos + length; ++i) {
+      Bytes tampered = pristine;
+      tampered[i] ^= 0xFF;
+      Bytes crc;
+      AppendFixed32(&crc, Crc32(ByteView(tampered.data() + pos, length)));
+      std::copy(crc.begin(), crc.end(), tampered.begin() + pos + length);
+      WriteAll(path, tampered);
+      codes.push_back(
+          CheckpointReader::Load(env_, path, verifier).status().code());
+    }
+    pos += length + 4;
+  }
+  // Recorded from the whole-file reader: the 6 manifest bytes fail the
+  // manifest checks (kCorruption, 6); every record, chain-tails and
+  // signature byte fails the seal (kVerificationFailed, 8) — even where
+  // the flipped record no longer decodes — except the seal's own length
+  // prefix, which no longer parses (6).
+  EXPECT_EQ(RunLengths(codes), "6x6 8x763 6x1 8x64");
+}
+
+// Load streams the file: bounded ranged reads, front to back, never a
+// whole-file read — even for a checkpoint whose chain-tails frame alone
+// is larger than one read.
+TEST_F(CheckpointTest, LoadStreamsInBoundedReads) {
+  ProvenanceStore store;
+  for (storage::ObjectId id = 1; id <= 1200; ++id) {
+    ASSERT_TRUE(store
+                    .AddRecord(Rec(id, 0, OperationType::kInsert,
+                                   static_cast<uint8_t>(id)))
+                    .ok());
+  }
+  ASSERT_TRUE(
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              1, Sealer(), 1).ok());
+  const std::string path = CheckpointFileName(dir_, 1);
+  auto size = env_->FileSize(path);
+  ASSERT_TRUE(size.ok());
+  ASSERT_GT(*size, 3u * 64 * 1024) << "the file must span several reads";
+
+  ReadCountingEnv counting(env_);
+  auto verifier = SealVerifier();
+  auto loaded = CheckpointReader::Load(&counting, path, verifier);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->store.live_record_count(), 1200u);
+  EXPECT_EQ(counting.whole_file_reads, 0u);
+  EXPECT_LE(counting.largest_read, 64u * 1024);
+  EXPECT_GE(counting.range_reads, 4u);
+  EXPECT_FALSE(counting.out_of_order) << "each byte is read once, in order";
+  EXPECT_EQ(counting.bytes_read, *size);
+}
+
+/// The checkpoint bytes `pristine` with the manifest frame replaced by
+/// `manifest` (frame CRC recomputed) and every other frame as it was.
+Bytes WithManifest(const Bytes& pristine, const Bytes& manifest) {
+  size_t pos = kCheckpointHeaderSize;
+  const size_t length = ReadVarintAt(pristine, &pos);
+  Bytes out(pristine.begin(), pristine.begin() + kCheckpointHeaderSize);
+  AppendVarint64(&out, manifest.size());
+  AppendBytes(&out, manifest);
+  AppendFixed32(&out, Crc32(manifest));
+  out.insert(out.end(), pristine.begin() + static_cast<std::ptrdiff_t>(
+                                               pos + length + 4),
+             pristine.end());
+  return out;
+}
+
+// A manifest that claims 2^40 records (or chains) carries a valid CRC,
+// so only the frame count exposes it. It is refused as kCorruption, and
+// the load reads nothing past the file: a reservation sized by the claim
+// (2^40 slots) is one no allocator grants, so it would throw instead.
+TEST_F(CheckpointTest, HugeManifestClaimsAreRefusedWithoutAllocating) {
+  ProvenanceStore store = SmallStore();
+  ASSERT_TRUE(
+      CheckpointWriter::Write(env_, dir_, store.CurrentView(),
+                              1, Sealer(), 1).ok());
+  const std::string path = CheckpointFileName(dir_, 1);
+  const Bytes pristine = ReadAll(path);
+  auto verifier = SealVerifier();
+  constexpr uint64_t kClaim = uint64_t{1} << 40;
+
+  struct Claim {
+    const char* what;
+    uint64_t live_records;
+    uint64_t chain_count;
+  };
+  for (const Claim& claim : {Claim{"records", kClaim, 2},
+                             Claim{"chains", 3, kClaim}}) {
+    SCOPED_TRACE(claim.what);
+    // The manifest layout of checkpoint.cc: version, horizon, sealer,
+    // root hash, live records, chain count.
+    Bytes manifest;
+    AppendByte(&manifest, kCheckpointVersion);
+    AppendVarint64(&manifest, 1);
+    AppendVarint64(&manifest, 1);
+    AppendVarint64(&manifest,
+                   static_cast<uint64_t>(crypto::HashAlgorithm::kSha1));
+    AppendVarint64(&manifest, claim.live_records);
+    AppendVarint64(&manifest, claim.chain_count);
+    const Bytes forged = WithManifest(pristine, manifest);
+    WriteAll(path, forged);
+
+    ReadCountingEnv counting(env_);
+    auto loaded = CheckpointReader::Load(&counting, path, verifier);
+    ASSERT_FALSE(loaded.ok());
+    // Too many records is a frame-count mismatch; a forged chain count
+    // changes the sealed root, so the seal refuses it first.
+    EXPECT_EQ(loaded.status().code(), claim.live_records == kClaim
+                                          ? StatusCode::kCorruption
+                                          : StatusCode::kVerificationFailed)
+        << loaded.status().ToString();
+    EXPECT_LE(counting.bytes_read, forged.size());
+  }
+
+  // A frame length of 2^40 is refused before anything is read for it.
+  Bytes forged(pristine.begin(), pristine.begin() + kCheckpointHeaderSize);
+  AppendVarint64(&forged, kClaim);
+  forged.insert(forged.end(), 64, 0);
+  WriteAll(path, forged);
+  ReadCountingEnv counting(env_);
+  auto loaded = CheckpointReader::Load(&counting, path, verifier);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_LE(counting.bytes_read, forged.size());
 }
 
 TEST_F(CheckpointTest, TamperedRecordWithPatchedCrcFailsTheSeal) {

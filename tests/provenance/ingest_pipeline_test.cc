@@ -9,12 +9,16 @@
 
 #include <cstdint>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/hashmix.h"
 #include "common/thread_pool.h"
+#include "crypto/hash.h"
+#include "observability/trace.h"
+#include "provenance/checkpoint.h"
 #include "provenance/serialization.h"
 #include "storage/fault_injection_env.h"
 #include "testing/gated_env.h"
@@ -372,6 +376,199 @@ TEST(IngestPipelineParallelTest, ParallelSigningMatchesSequential) {
   ASSERT_EQ(sequential.size(), parallel.size());
   for (size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(sequential[i], parallel[i]) << "record " << i << " differs";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel shard recovery
+// ---------------------------------------------------------------------------
+
+/// Fills a checkpointing store under `root`: 48 inserts, a seal of every
+/// shard, then 24 updates, so each shard recovers from a sealed
+/// checkpoint plus a WAL suffix.
+void PopulateCheckpointedStore(const std::string& root, size_t shards,
+                               const crypto::SignatureVerifier* verifier) {
+  IngestOptions options;
+  options.num_shards = shards;
+  options.max_batch_records = 4;
+  options.checkpoint.signer = &P(0).signer();
+  options.checkpoint.sealer_id = P(0).id();
+  options.checkpoint.verifier = verifier;
+  auto pipeline = IngestPipeline::Open(Env::Default(), root, options);
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  for (ObjectId id = 1; id <= 48; ++id) {
+    ASSERT_TRUE((*pipeline)
+                    ->Submit(Insert(id, static_cast<uint8_t>(id),
+                                    static_cast<size_t>(id % 4)))
+                    .ok());
+  }
+  ASSERT_TRUE((*pipeline)->CheckpointNow().ok());
+  for (ObjectId id = 1; id <= 48; id += 2) {
+    ASSERT_TRUE((*pipeline)
+                    ->Submit(Update(id, static_cast<uint8_t>(id),
+                                    static_cast<uint8_t>(id + 100)))
+                    .ok());
+  }
+  ASSERT_TRUE((*pipeline)->Close().ok());
+}
+
+std::string RenderReport(const storage::WalRecoveryReport& r) {
+  return std::to_string(r.segments) + "/" + std::to_string(r.records) + "/" +
+         std::to_string(r.dropped_bytes) + "/" +
+         std::to_string(r.salvaged_segment) + "/" + r.detail + "/" +
+         std::to_string(r.checkpoint_horizon) + "/" +
+         std::to_string(r.checkpoint_records);
+}
+
+/// What recovery produced, shard by shard, in comparable form: every
+/// chain's EncodeRecord bytes (ascending object id), the salvage report,
+/// and the SHA-1 of a checkpoint resealed from the shard.
+struct RecoveredImage {
+  std::vector<std::map<ObjectId, std::vector<Bytes>>> chains;
+  std::vector<std::string> reports;
+  std::vector<crypto::Digest> reseals;
+  uint64_t records = 0;
+};
+
+RecoveredImage ImageOf(const ShardedProvenanceStore& store,
+                       const std::vector<storage::WalRecoveryReport>& reports,
+                       const std::string& reseal_dir) {
+  RecoveredImage image;
+  EXPECT_TRUE(Env::Default()->CreateDir(reseal_dir).ok());
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    const StoreReadView view = store.shard(i).CurrentView();
+    std::map<ObjectId, std::vector<Bytes>> chains;
+    view.ForEachChain([&](ObjectId id, const ChainNode*) {
+      for (const ProvenanceRecord* rec : view.ChainRecords(id)) {
+        chains[id].push_back(EncodeRecord(*rec));
+        ++image.records;
+      }
+    });
+    image.chains.push_back(std::move(chains));
+    EXPECT_TRUE(CheckpointWriter::Write(Env::Default(), reseal_dir, view,
+                                        /*wal_horizon=*/i + 1, P(0).signer(),
+                                        P(0).id())
+                    .ok());
+    auto sealed = Env::Default()->ReadFileToBytes(
+        CheckpointFileName(reseal_dir, i + 1));
+    EXPECT_TRUE(sealed.ok());
+    image.reseals.push_back(
+        crypto::HashBytes(crypto::HashAlgorithm::kSha1, sealed.value()));
+  }
+  for (const storage::WalRecoveryReport& report : reports) {
+    image.reports.push_back(RenderReport(report));
+  }
+  return image;
+}
+
+void ExpectSameImage(const RecoveredImage& expected,
+                     const RecoveredImage& actual, const std::string& what) {
+  EXPECT_EQ(expected.records, actual.records) << what;
+  ASSERT_EQ(expected.chains.size(), actual.chains.size()) << what;
+  for (size_t i = 0; i < expected.chains.size(); ++i) {
+    EXPECT_TRUE(expected.chains[i] == actual.chains[i])
+        << what << ": shard " << i << " chains differ";
+    EXPECT_EQ(expected.reseals[i], actual.reseals[i])
+        << what << ": shard " << i << " reseals differently";
+  }
+  EXPECT_EQ(expected.reports, actual.reports) << what;
+}
+
+// Recovery on a pool — directly, and through IngestPipeline::Open with a
+// signing pool — rebuilds byte-for-byte the store, reports and reseal of
+// a sequential recovery. The shard tasks share a FaultInjectionEnv, the
+// metrics registry and an enabled trace sink, which is what the TSan
+// stage watches.
+TEST(ParallelRecoveryTest, PoolRecoveryMatchesSequentialAtEveryShardCount) {
+  crypto::RsaSignatureVerifier verifier(P(0).public_key());
+  ThreadPool pool(4);
+  for (size_t shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string tag = "parallel_recovery_" + std::to_string(shards);
+    const std::string root = FreshDir(tag);
+    PopulateCheckpointedStore(root, shards, &verifier);
+    FaultInjectionEnv fault(Env::Default());
+
+    std::vector<storage::WalRecoveryReport> seq_reports;
+    auto sequential = ShardedProvenanceStore::Recover(
+        &fault, root, shards, &seq_reports, &verifier);
+    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+    const RecoveredImage expected =
+        ImageOf(*sequential, seq_reports, FreshDir(tag + "_reseal_seq"));
+    EXPECT_EQ(expected.records, 48u + 24u);
+    for (const storage::WalRecoveryReport& report : seq_reports) {
+      EXPECT_GT(report.checkpoint_horizon, 0u) << "every shard sealed";
+    }
+
+    ASSERT_TRUE(observability::TraceSink::Enable(::testing::TempDir() +
+                                                 "/provdb_" + tag + ".jsonl"));
+    std::vector<storage::WalRecoveryReport> pool_reports;
+    auto parallel = ShardedProvenanceStore::Recover(
+        &fault, root, shards, &pool_reports, &verifier, &pool);
+    observability::TraceSink::Disable();
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectSameImage(expected,
+                    ImageOf(*parallel, pool_reports,
+                            FreshDir(tag + "_reseal_pool")),
+                    "pool recovery");
+
+    IngestOptions options;
+    options.num_shards = shards;
+    options.signing.num_threads = 4;
+    options.checkpoint.verifier = &verifier;
+    std::vector<storage::WalRecoveryReport> open_reports;
+    auto reopened = IngestPipeline::Open(&fault, root, options, &open_reports);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ExpectSameImage(expected,
+                    ImageOf((*reopened)->store(), open_reports,
+                            FreshDir(tag + "_reseal_open")),
+                    "IngestPipeline::Open");
+    ASSERT_TRUE((*reopened)->Close().ok());
+  }
+}
+
+// With two shards' checkpoints corrupt, the error always names the lower
+// one, however the pool's tasks interleave, and the reports stop just
+// before it — as a sequential recovery reports.
+TEST(ParallelRecoveryTest, LowestCorruptShardNamesTheError) {
+  crypto::RsaSignatureVerifier verifier(P(0).public_key());
+  const std::string root = FreshDir("parallel_recovery_corrupt");
+  PopulateCheckpointedStore(root, 4, &verifier);
+  for (size_t shard : {1, 3}) {
+    const std::string dir = ShardedProvenanceStore::ShardDirName(root, shard);
+    auto horizon = LatestCheckpointHorizon(Env::Default(), dir);
+    ASSERT_TRUE(horizon.ok()) << horizon.status().ToString();
+    const std::string path = CheckpointFileName(dir, *horizon);
+    auto content = Env::Default()->ReadFileToBytes(path);
+    ASSERT_TRUE(content.ok());
+    (*content)[content->size() / 2] ^= 0xFF;
+    auto file = Env::Default()->NewWritableFile(path);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(*content).ok());
+    ASSERT_TRUE((*file)->Close().ok());
+  }
+  const std::string shard1 =
+      ShardedProvenanceStore::ShardDirName(root, 1) + "/";
+
+  std::vector<storage::WalRecoveryReport> seq_reports;
+  auto sequential = ShardedProvenanceStore::Recover(
+      Env::Default(), root, 4, &seq_reports, &verifier);
+  ASSERT_FALSE(sequential.ok());
+  EXPECT_EQ(sequential.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(sequential.status().message().find(shard1), std::string::npos)
+      << sequential.status().ToString();
+  ASSERT_EQ(seq_reports.size(), 1u);
+
+  ThreadPool pool(4);
+  for (int run = 0; run < 20; ++run) {
+    std::vector<storage::WalRecoveryReport> reports;
+    auto parallel = ShardedProvenanceStore::Recover(Env::Default(), root, 4,
+                                                    &reports, &verifier, &pool);
+    ASSERT_FALSE(parallel.ok()) << "run " << run;
+    EXPECT_EQ(parallel.status().ToString(), sequential.status().ToString())
+        << "run " << run;
+    ASSERT_EQ(reports.size(), 1u) << "run " << run;
+    EXPECT_EQ(RenderReport(reports[0]), RenderReport(seq_reports[0]));
   }
 }
 

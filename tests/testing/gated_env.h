@@ -26,6 +26,10 @@ class ForwardingEnv : public storage::Env {
   Result<Bytes> ReadFileToBytes(const std::string& path) override {
     return base_->ReadFileToBytes(path);
   }
+  Status ReadFileRange(const std::string& path, uint64_t offset,
+                       size_t length, Bytes* out) override {
+    return base_->ReadFileRange(path, offset, length, out);
+  }
   Status RenameFile(const std::string& from, const std::string& to) override {
     return base_->RenameFile(from, to);
   }

@@ -200,8 +200,9 @@ stage_server() {
 
 stage_tsan() {
   # Benchmarks/examples are skipped: TSan only needs the thread pool, the
-  # parallel verifier/auditor, the parallel subtree hasher, and the
-  # lock-cheap metrics registry, which the unit tests below exercise.
+  # parallel verifier/auditor, the parallel subtree hasher, parallel
+  # shard recovery (ParallelRecoveryTest, in provenance_ingest_test), and
+  # the lock-cheap metrics registry, which the unit tests below exercise.
   run cmake -S "$ROOT" -B "$OUT/tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPROVDB_SANITIZE=thread -DPROVDB_BUILD_BENCHMARKS=OFF \
     -DPROVDB_BUILD_EXAMPLES=OFF
